@@ -1,13 +1,22 @@
 #include "check/parser_fuzz.hpp"
 
-#include <array>
+#include <unistd.h>
+
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <random>
+#include <span>
 #include <string_view>
 #include <vector>
 
+#include "core/incremental.hpp"
 #include "diag/diagnostic.hpp"
+#include "gen/regfile_example.hpp"
 #include "hdl/elaborate.hpp"
 #include "hdl/stdlib.hpp"
+#include "serve/job.hpp"
+#include "serve/journal.hpp"
 
 namespace tv::check {
 
@@ -63,7 +72,43 @@ constexpr std::string_view kSpliceTokens[] = {
     ".P0-4", ".S0-6", "&Z",
 };
 
-std::string mutate(std::string src, std::mt19937_64& rng) {
+// The JSON inputs: a scaldtvd job line, a netlist delta against the regfile
+// example (gen/regfile_example.cpp names), and a write-ahead journal (its
+// header's opening, with the current version, is prepended at run time).
+constexpr std::string_view kSeedJobLine =
+    R"({"id": "fuzz-1", "design": "designs/regfile_example.shdl", "stdlib": true, )"
+    R"("time_limit": 2.5, "jobs": 2, "reverify": "edit.json", )"
+    R"("fault": "evaluator.eval@40:abort", "fault_attempts": 1})";
+
+constexpr std::string_view kSeedDelta = R"({"prims": [
+  {"prim": "WE GATE", "dmin": 1.0, "dmax": 3.5, "rise_fall": [0.3, 1.0, 0.4, 1.2]},
+  {"prim": "REG SETUP", "setup": 3.5, "hold": 1.5}],
+ "pins": [{"prim": "READ OR 10102", "input": 1, "signal": "READ EN .S0-8", "invert": false}],
+ "wires": [{"signal": "ADR SEL", "dmin": 0.0, "dmax": 1.0}, {"signal": "ADR<0:3>", "clear": true}],
+ "assertions": [{"signal": "WRITE .S0-6", "new": "WRITE .S0-5.5"}],
+ "cases": [{"name": "write off", "pins": [["WRITE .S0-6", 0]], "at": 0}]}
+)";
+
+constexpr std::string_view kSeedJournalTail =
+    R"(, "jobs": 1, "jobs_digest": "a8c7f832281a39c5", "seed": 1, "max_attempts": 3, )"
+    R"("mem_limit_mb": 0, "mem_retry": 0, "max_queue": 0, "quarantine_after": 0}
+{"job": "a", "attempt": 1, "event": "launch"}
+{"job": "a", "attempt": 1, "event": "outcome", "outcome": "signal:6"}
+{"job": "a", "attempt": 2, "event": "launch"}
+{"job": "a", "attempt": 2, "event": "outcome", "outcome": "exit:0"}
+{"job": "a", "event": "settle", "state": "done"}
+{"event": "quarantine", "key": "00000000000000ff"}
+)";
+
+constexpr std::string_view kJsonSpliceTokens[] = {
+    "{", "}", "[", "]", ":", ",", "\"", "\\", "\\u00e9", "\\ud83d\\ude00", "\\ud800",
+    "\\x", "true", "false", "null", "0", "-1", "0.5", "1e999", "1-2", "+1", "nan",
+    "inf", "99999999999999999999", "\"id\"", "\"prim\"", "\"input\"", "\"at\"",
+    "\"pins\"", "\"event\"", "\"attempt\"", "\x01", "\n", "\xc3\xa9",
+};
+
+std::string mutate(std::string src, std::mt19937_64& rng,
+                   std::span<const std::string_view> splice_tokens) {
   auto rnd = [&](std::size_t n) -> std::size_t {
     return n ? static_cast<std::size_t>(rng() % n) : 0;
   };
@@ -94,8 +139,7 @@ std::string mutate(std::string src, std::mt19937_64& rng) {
         break;
       }
       case 4: {  // splice in a grammar token
-        std::string_view tok =
-            kSpliceTokens[rnd(std::size(kSpliceTokens))];
+        std::string_view tok = splice_tokens[rnd(splice_tokens.size())];
         src.insert(rnd(src.size() + 1), std::string(tok));
         break;
       }
@@ -115,6 +159,34 @@ std::string mutate(std::string src, std::mt19937_64& rng) {
   return src;
 }
 
+// The JSON readers as their consumers call them; false with a message in
+// *error is a rejection. An accepted delta must also apply or be refused by
+// apply_delta's validation: parsed indices and times reach the netlist.
+bool read_delta(const std::string& text, std::string* error) {
+  Netlist nl;
+  gen::build_regfile_example(nl);
+  NetlistDelta delta;
+  if (!parse_delta_json(text, nl, &delta, error)) return false;
+  std::vector<CaseSpec> cases;
+  try {
+    apply_delta(nl, cases, delta);
+  } catch (const std::invalid_argument& e) {
+    *error = e.what();
+    return false;
+  }
+  return true;
+}
+
+bool read_journal(const std::string& text, std::string* error) {
+  const char* tmp = std::getenv("TMPDIR");
+  std::string path =
+      std::string(tmp ? tmp : "/tmp") + "/tvfuzz-" + std::to_string(getpid()) + ".journal";
+  std::ofstream(path, std::ios::binary) << text;
+  bool ok = serve::replay_journal(path, error).has_value();
+  std::remove(path.c_str());
+  return ok;
+}
+
 }  // namespace
 
 std::optional<ParserFuzzFailure> check_parser_robustness(std::uint64_t seed) {
@@ -125,7 +197,7 @@ std::optional<ParserFuzzFailure> check_parser_robustness(std::uint64_t seed) {
                          ? std::string(kSeedDesigns[pick])
                          : std::string(hdl::std_chip_library()) +
                                std::string(kSeedDesigns[0]);
-  std::string mutated = mutate(std::move(base), rng);
+  std::string mutated = mutate(std::move(base), rng, kSpliceTokens);
 
   diag::DiagnosticEngine diags;
   diags.set_current_file("<fuzz>");
@@ -147,6 +219,34 @@ std::optional<ParserFuzzFailure> check_parser_robustness(std::uint64_t seed) {
     return fail("uncaught-exception", e.what());
   } catch (...) {
     return fail("uncaught-exception", "non-standard exception escaped the front end");
+  }
+  const struct {
+    const char* what;
+    std::string text;
+    bool (*read)(const std::string&, std::string*);
+  } json_inputs[] = {
+      {"job line", std::string(kSeedJobLine),
+       [](const std::string& text, std::string* error) {
+         return serve::parse_job_line(text, error).has_value();
+       }},
+      {"delta", std::string(kSeedDelta), read_delta},
+      {"journal", "{\"journal\": \"scaldtvd\", \"version\": " +
+                      std::to_string(serve::kJournalVersion) + std::string(kSeedJournalTail),
+       read_journal},
+  };
+  for (const auto& input : json_inputs) {
+    mutated = mutate(input.text, rng, kJsonSpliceTokens);
+    std::string what = std::string(input.what) + ": ";
+    try {
+      std::string error;
+      if (!input.read(mutated, &error) && error.empty()) {
+        return fail("silent-rejection", what + "rejected the input without a message");
+      }
+    } catch (const std::exception& e) {
+      return fail("uncaught-exception", what + e.what());
+    } catch (...) {
+      return fail("uncaught-exception", what + "non-standard exception escaped the reader");
+    }
   }
   return std::nullopt;
 }

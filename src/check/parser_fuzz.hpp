@@ -1,4 +1,4 @@
-// Front-end robustness fuzzing (tvfuzz --parser-fuzz).
+// Input robustness fuzzing (tvfuzz --parser-fuzz).
 //
 // Takes valid SHDL sources (the standard chip library plus small embedded
 // designs), applies seeded byte- and token-level mutations, and feeds the
@@ -10,6 +10,11 @@
 //     at least one error diagnostic explaining why;
 //   * when it accepts an input, the resulting design is finalized and
 //     usable.
+//
+// Each seed then mutates the three JSON inputs the same way -- a scaldtvd
+// job line, a netlist delta against the regfile example (parsed, then
+// applied), and a write-ahead journal file -- under the same contract: no
+// crash, no escaped exception, and every rejection carries a message.
 #pragma once
 
 #include <cstdint>

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "check/parser_fuzz.hpp"
+#include "util/json.hpp"
 
 namespace tv::check {
 
@@ -32,31 +33,55 @@ struct ManifestRecord {
   int attempts = 0;
 };
 
-/// Pulls the job records back out of a manifest the harness itself wrote.
-/// The format is the fixed-order JSON from serve/manifest.cpp, so a string
-/// scan is exact (no general JSON parser needed in the check library).
-std::vector<ManifestRecord> scan_manifest(const std::string& text) {
+/// The job records of a manifest, read back with the project's JSON reader
+/// (empty when the text does not parse, which the callers flag as lost jobs).
+std::vector<ManifestRecord> manifest_records(const std::string& text) {
   std::vector<ManifestRecord> out;
-  std::size_t at = 0;
-  while ((at = text.find("{\"id\": \"", at)) != std::string::npos) {
+  std::optional<json::Value> doc = json::parse(text, nullptr);
+  const json::Value* jobs = doc ? doc->get("jobs") : nullptr;
+  if (!jobs) return out;
+  for (const json::Value& job : jobs->items) {
     ManifestRecord r;
-    std::size_t start = at + 8;
-    std::size_t end = text.find('"', start);
-    if (end == std::string::npos) break;
-    r.id = text.substr(start, end - start);
-    std::size_t st = text.find("\"state\": \"", end);
-    if (st != std::string::npos) {
-      st += 10;
-      r.state = text.substr(st, text.find('"', st) - st);
-    }
-    std::size_t att = text.find("\"attempts\": ", end);
-    if (att != std::string::npos) {
-      r.attempts = std::atoi(text.c_str() + att + 12);
+    if (const json::Value* id = job.get("id")) r.id = id->text;
+    if (const json::Value* state = job.get("state")) r.state = state->text;
+    if (const json::Value* attempts = job.get("attempts")) {
+      r.attempts = static_cast<int>(attempts->as_int64().value_or(0));
     }
     out.push_back(std::move(r));
-    at = end;
   }
   return out;
+}
+
+/// One scaldtvd job line, its strings escaped by the project's JSON escaper
+/// (work-dir paths come from TMPDIR and may hold any byte).
+std::string job_line(const std::string& id, const std::string& design,
+                     const std::string& fault = "", int fault_attempts = 0,
+                     const std::string& reverify = "") {
+  std::string line = "{";
+  auto field = [&](const char* key, const std::string& value) {
+    line += line.size() > 1 ? ", \"" : "\"";
+    line += key;
+    line += "\": \"";
+    json::escape_into(line, value);
+    line += '"';
+  };
+  field("id", id);
+  field("design", design);
+  if (!reverify.empty()) field("reverify", reverify);
+  if (!fault.empty()) field("fault", fault);
+  if (fault_attempts) line += ", \"fault_attempts\": " + std::to_string(fault_attempts);
+  return line + "}\n";
+}
+
+/// A fresh work directory under $TMPDIR (default /tmp); empty on failure.
+std::string make_work_dir(const char* stem) {
+  const char* tmp = std::getenv("TMPDIR");
+  std::string dir = std::string(tmp ? tmp : "/tmp") + "/" + stem + "-XXXXXX";
+  return mkdtemp(dir.data()) ? dir : std::string();
+}
+
+void write_file(const std::string& path, const std::string& text) {
+  std::ofstream(path, std::ios::binary) << text;
 }
 
 std::string read_file(const std::string& path) {
@@ -64,6 +89,25 @@ std::string read_file(const std::string& path) {
   std::stringstream buf;
   buf << in.rdbuf();
   return buf.str();
+}
+
+/// The shell command for one journaled daemon run of the batch in
+/// `jobs_path`; `policy` holds extra flags every run of that batch repeats.
+std::string journaled_daemon_cmd(const ServeChaosOptions& opts, const std::string& jobs_path,
+                                 const std::string& policy, const std::string& journal,
+                                 const std::string& manifest, const std::string& fault,
+                                 bool resume) {
+  std::string cmd = "'" + opts.scaldtvd_path + "' --scaldtv '" + opts.scaldtv_path +
+                    "' --workers 2 --max-attempts 3 --backoff-ms 10 "
+                    "--backoff-max-ms 50 --job-timeout 2 " + policy + "--seed " +
+                    std::to_string(opts.seed % 1000000) + " --journal '" + journal +
+                    "' --manifest '" + manifest + "' ";
+  if (!fault.empty()) cmd += "--fault '" + fault + "' ";
+  if (resume) cmd += "--resume ";
+  if (opts.warm) cmd += "--warm ";
+  cmd += "'" + jobs_path + "'";
+  if (!opts.verbose) cmd += " 2>/dev/null";
+  return cmd;
 }
 
 /// Launches the daemon, delivers SIGTERM after `sigterm_after_ms`, and
@@ -111,12 +155,8 @@ std::optional<ServeChaosFailure> check_serve_chaos(const ServeChaosOptions& opts
                               "(TV_SCALDTVD / TV_SCALDTV)");
   }
 
-  const char* tmp = std::getenv("TMPDIR");
-  std::string dir = std::string(tmp ? tmp : "/tmp") + "/serve-chaos-XXXXXX";
-  std::vector<char> dirbuf(dir.begin(), dir.end());
-  dirbuf.push_back('\0');
-  if (!mkdtemp(dirbuf.data())) return fail("bad-config", "mkdtemp failed");
-  dir.assign(dirbuf.data());
+  std::string dir = make_work_dir("serve-chaos");
+  if (dir.empty()) return fail("bad-config", "mkdtemp failed");
 
   // Plan the batch: ~40% of jobs faulted. Transient faults (read failure,
   // mid-eval abort, mid-eval hang, failed intern) fire on attempt 1 only,
@@ -141,9 +181,7 @@ std::optional<ServeChaosFailure> check_serve_chaos(const ServeChaosOptions& opts
     std::snprintf(id, sizeof id, "job-%03d", i);
     j.id = id;
     j.design_file = dir + "/design_" + std::to_string(i) + ".shdl";
-    std::ofstream out(j.design_file);
-    out << seed_design(static_cast<std::size_t>(rng() % seed_design_count()));
-    out.close();
+    write_file(j.design_file, seed_design(static_cast<std::size_t>(rng() % seed_design_count())));
     cleanup.push_back(j.design_file);
     if (i == 0) {
       // The guaranteed permanent crasher: aborts on every attempt.
@@ -164,14 +202,7 @@ std::optional<ServeChaosFailure> check_serve_chaos(const ServeChaosOptions& opts
   std::string jobs_path = dir + "/batch.jobs";
   {
     std::ofstream out(jobs_path);
-    for (const PlannedJob& j : plan) {
-      out << "{\"id\": \"" << j.id << "\", \"design\": \"" << j.design_file << "\"";
-      if (!j.fault.empty()) {
-        out << ", \"fault\": \"" << j.fault << "\", \"fault_attempts\": "
-            << j.fault_attempts;
-      }
-      out << "}\n";
-    }
+    for (const PlannedJob& j : plan) out << job_line(j.id, j.design_file, j.fault, j.fault_attempts);
   }
   cleanup.push_back(jobs_path);
 
@@ -203,7 +234,7 @@ std::optional<ServeChaosFailure> check_serve_chaos(const ServeChaosOptions& opts
                 "two identical runs produced different manifests; work dir kept at " + dir);
   }
 
-  std::vector<ManifestRecord> records = scan_manifest(manifests[0]);
+  std::vector<ManifestRecord> records = manifest_records(manifests[0]);
   if (records.size() != plan.size()) {
     return fail("job-lost", "planned " + std::to_string(plan.size()) + " jobs, manifest has " +
                                 std::to_string(records.size()) + "; work dir kept at " + dir);
@@ -269,21 +300,14 @@ std::optional<ServeChaosFailure> check_reverify_chaos(const ServeChaosOptions& o
                               "(TV_SCALDTVD / TV_SCALDTV)");
   }
 
-  const char* tmp = std::getenv("TMPDIR");
-  std::string dir = std::string(tmp ? tmp : "/tmp") + "/serve-reverify-XXXXXX";
-  std::vector<char> dirbuf(dir.begin(), dir.end());
-  dirbuf.push_back('\0');
-  if (!mkdtemp(dirbuf.data())) return fail("bad-config", "mkdtemp failed");
-  dir.assign(dirbuf.data());
+  std::string dir = make_work_dir("serve-reverify");
+  if (dir.empty()) return fail("bad-config", "mkdtemp failed");
 
   // One shared design: every job hits the same warm-pool key, so a faulted
   // reverify attempt shares its resident worker with the clean jobs around
   // it -- exactly the corruption surface this scenario probes.
   std::string design_file = dir + "/design.shdl";
-  {
-    std::ofstream out(design_file);
-    out << seed_design(0);  // TINY: prims reg#0, setup_hold#1; signals D/CK/Q
-  }
+  write_file(design_file, seed_design(0));  // TINY: prims reg#0, setup_hold#1; signals D/CK/Q
   std::vector<std::string> cleanup{design_file};
 
   // Three edit scripts against TINY, one per delta family the worker path
@@ -296,8 +320,7 @@ std::optional<ServeChaosFailure> check_reverify_chaos(const ServeChaosOptions& o
   std::vector<std::string> delta_paths;
   for (const auto& d : deltas) {
     std::string path = dir + "/" + d.name;
-    std::ofstream out(path);
-    out << d.json;
+    write_file(path, d.json);
     delta_paths.push_back(path);
     cleanup.push_back(path);
   }
@@ -344,13 +367,8 @@ std::optional<ServeChaosFailure> check_reverify_chaos(const ServeChaosOptions& o
   {
     std::ofstream out(jobs_path);
     for (const RJob& j : plan) {
-      out << "{\"id\": \"" << j.id << "\", \"design\": \"" << design_file << "\"";
-      if (j.delta >= 0) out << ", \"reverify\": \"" << delta_paths[j.delta] << "\"";
-      if (!j.fault.empty()) {
-        out << ", \"fault\": \"" << j.fault << "\", \"fault_attempts\": "
-            << j.fault_attempts;
-      }
-      out << "}\n";
+      out << job_line(j.id, design_file, j.fault, j.fault_attempts,
+                      j.delta >= 0 ? delta_paths[j.delta] : "");
     }
   }
   cleanup.push_back(jobs_path);
@@ -387,7 +405,7 @@ std::optional<ServeChaosFailure> check_reverify_chaos(const ServeChaosOptions& o
                       ": two identical reverify runs produced different manifests; "
                       "work dir kept at " + dir);
     }
-    records_by_backend[warm] = scan_manifest(manifests[0]);
+    records_by_backend[warm] = manifest_records(manifests[0]);
   }
 
   for (int warm = 0; warm < 2; ++warm) {
@@ -469,12 +487,8 @@ std::optional<ServeChaosFailure> check_kill_restart(const ServeChaosOptions& opt
                               "(TV_SCALDTVD / TV_SCALDTV)");
   }
 
-  const char* tmp = std::getenv("TMPDIR");
-  std::string dir = std::string(tmp ? tmp : "/tmp") + "/serve-kill-XXXXXX";
-  std::vector<char> dirbuf(dir.begin(), dir.end());
-  dirbuf.push_back('\0');
-  if (!mkdtemp(dirbuf.data())) return fail("bad-config", "mkdtemp failed");
-  dir.assign(dirbuf.data());
+  std::string dir = make_work_dir("serve-kill");
+  if (dir.empty()) return fail("bad-config", "mkdtemp failed");
 
   // A small batch with observable retry structure: two clean jobs, one that
   // aborts on attempt 1 only (its retry doubles the journal traffic for
@@ -487,34 +501,17 @@ std::optional<ServeChaosFailure> check_kill_restart(const ServeChaosOptions& opt
     std::ofstream jobs_out(jobs_path);
     for (int i = 0; i < 4; ++i) {
       std::string design_file = dir + "/design_" + std::to_string(i) + ".shdl";
-      std::ofstream out(design_file);
-      out << seed_design(static_cast<std::size_t>(rng() % seed_design_count()));
-      out.close();
+      write_file(design_file, seed_design(static_cast<std::size_t>(rng() % seed_design_count())));
       cleanup.push_back(design_file);
-      jobs_out << "{\"id\": \"kr-" << i << "\", \"design\": \"" << design_file << "\"";
-      if (i == 1) {
-        jobs_out << ", \"fault\": \"evaluator.eval@1:abort\", \"fault_attempts\": 1";
-      } else if (i == 2) {
-        jobs_out << ", \"fault\": \"io.read@1:fail\", \"fault_attempts\": 1";
-      }
-      jobs_out << "}\n";
+      const char* fault = i == 1 ? "evaluator.eval@1:abort" : i == 2 ? "io.read@1:fail" : "";
+      jobs_out << job_line("kr-" + std::to_string(i), design_file, fault, *fault ? 1 : 0);
     }
   }
   cleanup.push_back(jobs_path);
 
-  std::string seed_arg = std::to_string(opts.seed % 1000000);
   auto daemon_cmd = [&](const std::string& journal, const std::string& manifest,
                         const std::string& fault, bool resume) {
-    std::string cmd = "'" + opts.scaldtvd_path + "' --scaldtv '" + opts.scaldtv_path +
-                      "' --workers 2 --max-attempts 3 --backoff-ms 10 "
-                      "--backoff-max-ms 50 --job-timeout 2 --seed " + seed_arg +
-                      " --journal '" + journal + "' --manifest '" + manifest + "' ";
-    if (!fault.empty()) cmd += "--fault '" + fault + "' ";
-    if (resume) cmd += "--resume ";
-    if (opts.warm) cmd += "--warm ";
-    cmd += "'" + jobs_path + "'";
-    if (!opts.verbose) cmd += " 2>/dev/null";
-    return cmd;
+    return journaled_daemon_cmd(opts, jobs_path, "", journal, manifest, fault, resume);
   };
 
   // Reference: the same batch, journaled, uninterrupted. Its journal's line
@@ -582,18 +579,11 @@ std::optional<ServeChaosFailure> check_drain_requeue(const ServeChaosOptions& op
                               "(TV_SCALDTVD / TV_SCALDTV)");
   }
 
-  const char* tmp = std::getenv("TMPDIR");
-  std::string dir = std::string(tmp ? tmp : "/tmp") + "/serve-drain-XXXXXX";
-  std::vector<char> dirbuf(dir.begin(), dir.end());
-  dirbuf.push_back('\0');
-  if (!mkdtemp(dirbuf.data())) return fail("bad-config", "mkdtemp failed");
-  dir.assign(dirbuf.data());
+  std::string dir = make_work_dir("serve-drain");
+  if (dir.empty()) return fail("bad-config", "mkdtemp failed");
 
   std::string design_file = dir + "/design.shdl";
-  {
-    std::ofstream out(design_file);
-    out << seed_design(0);
-  }
+  write_file(design_file, seed_design(0));
   std::vector<std::string> cleanup{design_file};
 
   // Two shutdown timings, each against a job that can never succeed:
@@ -621,11 +611,7 @@ std::optional<ServeChaosFailure> check_drain_requeue(const ServeChaosOptions& op
 
   for (const Scenario& sc : scenarios) {
     std::string jobs_path = dir + "/" + sc.name + ".jobs";
-    {
-      std::ofstream out(jobs_path);
-      out << "{\"id\": \"drain-" << sc.name << "\", \"design\": \"" << design_file
-          << "\", \"fault\": \"" << sc.fault << "\"}\n";
-    }
+    write_file(jobs_path, job_line(std::string("drain-") + sc.name, design_file, sc.fault));
     cleanup.push_back(jobs_path);
     std::string manifest_path = dir + "/" + sc.name + ".manifest.json";
     cleanup.push_back(manifest_path);
@@ -645,7 +631,7 @@ std::optional<ServeChaosFailure> check_drain_requeue(const ServeChaosOptions& op
                   std::string("drain-") + sc.name + ": expected daemon exit 0, got " +
                       std::to_string(code) + "; work dir kept at " + dir);
     }
-    std::vector<ManifestRecord> records = scan_manifest(read_file(manifest_path));
+    std::vector<ManifestRecord> records = manifest_records(read_file(manifest_path));
     if (records.size() != 1) {
       return fail("job-lost", std::string("drain-") + sc.name + ": manifest has " +
                                   std::to_string(records.size()) +
@@ -678,12 +664,8 @@ std::optional<ServeChaosFailure> check_mem_breach(const ServeChaosOptions& opts)
                               "(TV_SCALDTVD / TV_SCALDTV)");
   }
 
-  const char* tmp = std::getenv("TMPDIR");
-  std::string dir = std::string(tmp ? tmp : "/tmp") + "/serve-mem-XXXXXX";
-  std::vector<char> dirbuf(dir.begin(), dir.end());
-  dirbuf.push_back('\0');
-  if (!mkdtemp(dirbuf.data())) return fail("bad-config", "mkdtemp failed");
-  dir.assign(dirbuf.data());
+  std::string dir = make_work_dir("serve-mem");
+  if (dir.empty()) return fail("bad-config", "mkdtemp failed");
 
   // One hog that leaks allocations until the RSS watchdog fires, three
   // clean neighbors that must come through untouched. The bloat action
@@ -696,14 +678,10 @@ std::optional<ServeChaosFailure> check_mem_breach(const ServeChaosOptions& opts)
     std::ofstream jobs_out(jobs_path);
     for (int i = 0; i < 4; ++i) {
       std::string design_file = dir + "/design_" + std::to_string(i) + ".shdl";
-      std::ofstream out(design_file);
-      out << seed_design(static_cast<std::size_t>(rng() % seed_design_count()));
-      out.close();
+      write_file(design_file, seed_design(static_cast<std::size_t>(rng() % seed_design_count())));
       cleanup.push_back(design_file);
-      jobs_out << "{\"id\": \"" << (i == 0 ? "hog" : "mem-" + std::to_string(i))
-               << "\", \"design\": \"" << design_file << "\"";
-      if (i == 0) jobs_out << ", \"fault\": \"evaluator.eval@1:bloat\"";
-      jobs_out << "}\n";
+      jobs_out << job_line(i == 0 ? "hog" : "mem-" + std::to_string(i), design_file,
+                           i == 0 ? "evaluator.eval@1:bloat" : "");
     }
   }
   cleanup.push_back(jobs_path);
@@ -730,7 +708,7 @@ std::optional<ServeChaosFailure> check_mem_breach(const ServeChaosOptions& opts)
     manifests[warm] = read_file(manifest_path);
     cleanup.push_back(manifest_path);
 
-    std::vector<ManifestRecord> records = scan_manifest(manifests[warm]);
+    std::vector<ManifestRecord> records = manifest_records(manifests[warm]);
     if (records.size() != 4) {
       return fail("job-lost", std::string(backend) + ": manifest has " +
                                   std::to_string(records.size()) +
@@ -765,12 +743,7 @@ std::optional<ServeChaosFailure> check_mem_breach(const ServeChaosOptions& opts)
   // The retry policy: the same breach confined to attempt 1 plus --mem-retry
   // must recover, with the mem-limit attempt visible in the count.
   std::string retry_jobs = dir + "/mem-retry.jobs";
-  {
-    std::ofstream out(retry_jobs);
-    out << "{\"id\": \"hog-retry\", \"design\": \"" << dir
-        << "/design_0.shdl\", \"fault\": \"evaluator.eval@1:bloat\", "
-           "\"fault_attempts\": 1}\n";
-  }
+  write_file(retry_jobs, job_line("hog-retry", dir + "/design_0.shdl", "evaluator.eval@1:bloat", 1));
   cleanup.push_back(retry_jobs);
   std::string retry_manifest = dir + "/mem-retry.manifest.json";
   cleanup.push_back(retry_manifest);
@@ -783,7 +756,7 @@ std::optional<ServeChaosFailure> check_mem_breach(const ServeChaosOptions& opts)
     if (!opts.verbose) cmd += " 2>/dev/null";
     std::system(cmd.c_str());
   }
-  std::vector<ManifestRecord> retry_records = scan_manifest(read_file(retry_manifest));
+  std::vector<ManifestRecord> retry_records = manifest_records(read_file(retry_manifest));
   if (retry_records.size() != 1 || retry_records[0].state == "resource-exhausted" ||
       retry_records[0].state == "crashed") {
     return fail("mem-retry-ignored",
@@ -813,12 +786,8 @@ std::optional<ServeChaosFailure> check_shed(const ServeChaosOptions& opts) {
                               "(TV_SCALDTVD / TV_SCALDTV)");
   }
 
-  const char* tmp = std::getenv("TMPDIR");
-  std::string dir = std::string(tmp ? tmp : "/tmp") + "/serve-shed-XXXXXX";
-  std::vector<char> dirbuf(dir.begin(), dir.end());
-  dirbuf.push_back('\0');
-  if (!mkdtemp(dirbuf.data())) return fail("bad-config", "mkdtemp failed");
-  dir.assign(dirbuf.data());
+  std::string dir = make_work_dir("serve-shed");
+  if (dir.empty()) return fail("bad-config", "mkdtemp failed");
 
   // Eight clean jobs against a five-slot admission cap: the first five run,
   // the last three are shed at batch start by input position -- never by
@@ -832,12 +801,9 @@ std::optional<ServeChaosFailure> check_shed(const ServeChaosOptions& opts) {
     std::ofstream jobs_out(jobs_path);
     for (int i = 0; i < kJobs; ++i) {
       std::string design_file = dir + "/design_" + std::to_string(i) + ".shdl";
-      std::ofstream out(design_file);
-      out << seed_design(static_cast<std::size_t>(rng() % seed_design_count()));
-      out.close();
+      write_file(design_file, seed_design(static_cast<std::size_t>(rng() % seed_design_count())));
       cleanup.push_back(design_file);
-      jobs_out << "{\"id\": \"shed-" << i << "\", \"design\": \"" << design_file
-               << "\"}\n";
+      jobs_out << job_line("shed-" + std::to_string(i), design_file);
     }
   }
   cleanup.push_back(jobs_path);
@@ -871,7 +837,7 @@ std::optional<ServeChaosFailure> check_shed(const ServeChaosOptions& opts) {
                 "work dir kept at " + dir);
   }
 
-  std::vector<ManifestRecord> records = scan_manifest(manifests[0]);
+  std::vector<ManifestRecord> records = manifest_records(manifests[0]);
   if (records.size() != kJobs) {
     return fail("job-lost", "manifest has " + std::to_string(records.size()) +
                                 " records, expected " + std::to_string(kJobs) +
@@ -921,12 +887,8 @@ std::optional<ServeChaosFailure> check_quarantine_resume(const ServeChaosOptions
                               "(TV_SCALDTVD / TV_SCALDTV)");
   }
 
-  const char* tmp = std::getenv("TMPDIR");
-  std::string dir = std::string(tmp ? tmp : "/tmp") + "/serve-quar-XXXXXX";
-  std::vector<char> dirbuf(dir.begin(), dir.end());
-  dirbuf.push_back('\0');
-  if (!mkdtemp(dirbuf.data())) return fail("bad-config", "mkdtemp failed");
-  dir.assign(dirbuf.data());
+  std::string dir = make_work_dir("serve-quar");
+  if (dir.empty()) return fail("bad-config", "mkdtemp failed");
 
   // Two designs with distinct content: the breaker keys on the design's
   // bytes, so "poison" must only spread to jobs that share design A.
@@ -937,12 +899,8 @@ std::optional<ServeChaosFailure> check_quarantine_resume(const ServeChaosOptions
   }
   std::string design_a = dir + "/poison.shdl";
   std::string design_b = dir + "/healthy.shdl";
-  {
-    std::ofstream a(design_a);
-    a << seed_design(0);
-    std::ofstream b(design_b);
-    b << seed_design(other);
-  }
+  write_file(design_a, seed_design(0));
+  write_file(design_b, seed_design(other));
   std::vector<std::string> cleanup{design_a, design_b};
 
   // qa-0 and qa-1 crash on every attempt and trip the K=2 breaker; qa-2 and
@@ -952,35 +910,18 @@ std::optional<ServeChaosFailure> check_quarantine_resume(const ServeChaosOptions
   // journal carries crash, quarantine, verdict, and shed settlements plus
   // the quarantine ledger record for the kill sweep below to replay.
   std::string jobs_path = dir + "/quarantine.jobs";
-  {
-    std::ofstream out(jobs_path);
-    out << "{\"id\": \"qa-0\", \"design\": \"" << design_a
-        << "\", \"fault\": \"evaluator.eval@1:abort\"}\n"
-        << "{\"id\": \"qa-1\", \"design\": \"" << design_a
-        << "\", \"fault\": \"evaluator.eval@1:abort\"}\n"
-        << "{\"id\": \"qa-2\", \"design\": \"" << design_a << "\"}\n"
-        << "{\"id\": \"qb-0\", \"design\": \"" << design_b << "\"}\n"
-        << "{\"id\": \"qa-3\", \"design\": \"" << design_a << "\"}\n"
-        << "{\"id\": \"over-0\", \"design\": \"" << design_b << "\"}\n";
-  }
+  write_file(jobs_path, job_line("qa-0", design_a, "evaluator.eval@1:abort") +
+                            job_line("qa-1", design_a, "evaluator.eval@1:abort") +
+                            job_line("qa-2", design_a) + job_line("qb-0", design_b) +
+                            job_line("qa-3", design_a) + job_line("over-0", design_b));
   cleanup.push_back(jobs_path);
 
-  std::string seed_arg = std::to_string(opts.seed % 1000000);
   auto daemon_cmd = [&](const std::string& journal, const std::string& manifest,
                         const std::string& fault, bool resume) {
     // Resume validation covers the overload policy: every invocation,
     // resumed or not, must carry the same --quarantine-after / --max-queue.
-    std::string cmd = "'" + opts.scaldtvd_path + "' --scaldtv '" + opts.scaldtv_path +
-                      "' --workers 2 --max-attempts 3 --backoff-ms 10 "
-                      "--backoff-max-ms 50 --job-timeout 2 --quarantine-after 2 "
-                      "--max-queue 5 --seed " + seed_arg +
-                      " --journal '" + journal + "' --manifest '" + manifest + "' ";
-    if (!fault.empty()) cmd += "--fault '" + fault + "' ";
-    if (resume) cmd += "--resume ";
-    if (opts.warm) cmd += "--warm ";
-    cmd += "'" + jobs_path + "'";
-    if (!opts.verbose) cmd += " 2>/dev/null";
-    return cmd;
+    return journaled_daemon_cmd(opts, jobs_path, "--quarantine-after 2 --max-queue 5 ",
+                                journal, manifest, fault, resume);
   };
 
   std::string ref_journal = dir + "/ref.journal";
@@ -995,7 +936,7 @@ std::optional<ServeChaosFailure> check_quarantine_resume(const ServeChaosOptions
                                      std::to_string(code) + "; work dir kept at " + dir);
   }
   std::string reference = read_file(ref_manifest);
-  std::vector<ManifestRecord> records = scan_manifest(reference);
+  std::vector<ManifestRecord> records = manifest_records(reference);
   if (records.size() != 6) {
     return fail("job-lost", "manifest has " + std::to_string(records.size()) +
                                 " records, expected 6; work dir kept at " + dir);
@@ -1087,12 +1028,8 @@ std::optional<ServeChaosFailure> check_write_fail(const ServeChaosOptions& opts)
                               "(TV_SCALDTVD / TV_SCALDTV)");
   }
 
-  const char* tmp = std::getenv("TMPDIR");
-  std::string dir = std::string(tmp ? tmp : "/tmp") + "/serve-enospc-XXXXXX";
-  std::vector<char> dirbuf(dir.begin(), dir.end());
-  dirbuf.push_back('\0');
-  if (!mkdtemp(dirbuf.data())) return fail("bad-config", "mkdtemp failed");
-  dir.assign(dirbuf.data());
+  std::string dir = make_work_dir("serve-enospc");
+  if (dir.empty()) return fail("bad-config", "mkdtemp failed");
 
   // The kill-restart batch shape: retries multiply the journal traffic, so
   // the sweep covers appends from every record family.
@@ -1103,34 +1040,17 @@ std::optional<ServeChaosFailure> check_write_fail(const ServeChaosOptions& opts)
     std::ofstream jobs_out(jobs_path);
     for (int i = 0; i < 4; ++i) {
       std::string design_file = dir + "/design_" + std::to_string(i) + ".shdl";
-      std::ofstream out(design_file);
-      out << seed_design(static_cast<std::size_t>(rng() % seed_design_count()));
-      out.close();
+      write_file(design_file, seed_design(static_cast<std::size_t>(rng() % seed_design_count())));
       cleanup.push_back(design_file);
-      jobs_out << "{\"id\": \"wf-" << i << "\", \"design\": \"" << design_file << "\"";
-      if (i == 1) {
-        jobs_out << ", \"fault\": \"evaluator.eval@1:abort\", \"fault_attempts\": 1";
-      } else if (i == 2) {
-        jobs_out << ", \"fault\": \"io.read@1:fail\", \"fault_attempts\": 1";
-      }
-      jobs_out << "}\n";
+      const char* fault = i == 1 ? "evaluator.eval@1:abort" : i == 2 ? "io.read@1:fail" : "";
+      jobs_out << job_line("wf-" + std::to_string(i), design_file, fault, *fault ? 1 : 0);
     }
   }
   cleanup.push_back(jobs_path);
 
-  std::string seed_arg = std::to_string(opts.seed % 1000000);
   auto daemon_cmd = [&](const std::string& journal, const std::string& manifest,
                         const std::string& fault, bool resume) {
-    std::string cmd = "'" + opts.scaldtvd_path + "' --scaldtv '" + opts.scaldtv_path +
-                      "' --workers 2 --max-attempts 3 --backoff-ms 10 "
-                      "--backoff-max-ms 50 --job-timeout 2 --seed " + seed_arg +
-                      " --journal '" + journal + "' --manifest '" + manifest + "' ";
-    if (!fault.empty()) cmd += "--fault '" + fault + "' ";
-    if (resume) cmd += "--resume ";
-    if (opts.warm) cmd += "--warm ";
-    cmd += "'" + jobs_path + "'";
-    if (!opts.verbose) cmd += " 2>/dev/null";
-    return cmd;
+    return journaled_daemon_cmd(opts, jobs_path, "", journal, manifest, fault, resume);
   };
 
   // Reference: uninterrupted and journaled. The daemon performs one durable

@@ -4,8 +4,9 @@
 // same discipline -- explicitly little-endian records, a fixed 40-byte
 // header carrying an FNV-1a content hash over the payload, a section table,
 // and bounds-checked readers that report exactly one diagnostic on the
-// first failure. This header is internal to src/core; the public surfaces
-// are compiled.hpp and fixpoint.hpp.
+// first failure. This header is internal to src/core (serve/ borrows only
+// fnv1a, for journal digests and quarantine keys); the public surfaces are
+// compiled.hpp and fixpoint.hpp.
 #pragma once
 
 #include <bit>

@@ -1,171 +1,66 @@
 #include "serve/job.hpp"
 
-#include <cctype>
-#include <cstdlib>
+#include <cstdio>
 #include <fstream>
+#include <limits>
 #include <unordered_set>
 
 #include "util/fault.hpp"
+#include "util/json.hpp"
 
 namespace tv::serve {
 
-namespace {
-
-// Minimal recursive-descent scanner for the flat JSON objects job lines
-// use: string, number, and boolean values only (no nesting, no arrays --
-// the job schema is deliberately flat). Returns false on any deviation.
-struct JsonScanner {
-  const std::string& s;
-  std::size_t i = 0;
-  std::string error;
-
-  explicit JsonScanner(const std::string& text) : s(text) {}
-
-  bool fail(const std::string& why) {
-    error = why + " at offset " + std::to_string(i);
-    return false;
-  }
-  void skip_ws() {
-    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-  }
-  bool expect(char c) {
-    skip_ws();
-    if (i >= s.size() || s[i] != c) return fail(std::string("expected '") + c + "'");
-    ++i;
-    return true;
-  }
-  bool parse_string(std::string& out) {
-    skip_ws();
-    if (i >= s.size() || s[i] != '"') return fail("expected string");
-    ++i;
-    out.clear();
-    while (i < s.size() && s[i] != '"') {
-      char c = s[i++];
-      if (c == '\\') {
-        if (i >= s.size()) return fail("bad escape");
-        char e = s[i++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          default: return fail("unsupported escape");
-        }
-      } else {
-        out += c;
-      }
-    }
-    if (i >= s.size()) return fail("unterminated string");
-    ++i;  // closing quote
-    return true;
-  }
-  // Value as text: "str", number, or true/false. `is_string` reports which.
-  bool parse_value(std::string& out, bool& is_string) {
-    skip_ws();
-    if (i >= s.size()) return fail("expected value");
-    if (s[i] == '"') {
-      is_string = true;
-      return parse_string(out);
-    }
-    is_string = false;
-    std::size_t start = i;
-    while (i < s.size() && (std::isalnum(static_cast<unsigned char>(s[i])) ||
-                            s[i] == '-' || s[i] == '+' || s[i] == '.')) {
-      ++i;
-    }
-    if (i == start) return fail("expected value");
-    out = s.substr(start, i - start);
-    return true;
-  }
-};
-
-bool parse_double(const std::string& text, double& out) {
-  char* end = nullptr;
-  out = std::strtod(text.c_str(), &end);
-  return end && *end == '\0';
-}
-
-bool parse_long(const std::string& text, long& out) {
-  char* end = nullptr;
-  out = std::strtol(text.c_str(), &end, 10);
-  return end && *end == '\0';
-}
-
-std::string format_double(double v) {
-  // Shortest round-trip-ish form: trim trailing zeros so worker argv stays
-  // stable and readable (5.0 -> "5", 0.25 -> "0.25").
+std::string format_time_limit(double seconds) {
   char buf[64];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
+  std::snprintf(buf, sizeof buf, "%.9g", seconds);
   return buf;
 }
-
-}  // namespace
 
 std::optional<JobSpec> parse_job_line(const std::string& line, std::string* error) {
   auto fail = [&](const std::string& why) -> std::optional<JobSpec> {
     if (error) *error = why;
     return std::nullopt;
   };
-  JsonScanner sc(line);
-  if (!sc.expect('{')) return fail(sc.error);
+  std::string syntax_error;
+  std::optional<json::Value> root = json::parse(line, &syntax_error);
+  if (!root) return fail(syntax_error);
+  if (root->type != json::Value::Type::Object) return fail("a job line must be a JSON object");
   JobSpec job;
-  bool first = true;
-  for (;;) {
-    sc.skip_ws();
-    if (sc.i < sc.s.size() && sc.s[sc.i] == '}') {
-      ++sc.i;
-      break;
-    }
-    if (!first && !sc.expect(',')) return fail(sc.error);
-    first = false;
-    std::string key, value;
-    bool is_string = false;
-    if (!sc.parse_string(key)) return fail(sc.error);
-    if (!sc.expect(':')) return fail(sc.error);
-    if (!sc.parse_value(value, is_string)) return fail(sc.error);
-
-    if (key == "id") {
-      job.id = value;
-    } else if (key == "design") {
-      job.design = value;
-    } else if (key == "stdlib") {
-      if (value != "true" && value != "false") return fail("\"stdlib\" must be a boolean");
-      job.stdlib = value == "true";
-    } else if (key == "compiled") {
-      if (value != "true" && value != "false") return fail("\"compiled\" must be a boolean");
-      job.compiled = value == "true";
+  for (const auto& [key, value] : root->members) {
+    bool is_string = value.type == json::Value::Type::String;
+    bool is_bool = value.type == json::Value::Type::Bool;
+    if (key == "id" || key == "design") {
+      if (!is_string) return fail("\"" + key + "\" must be a string");
+      (key == "id" ? job.id : job.design) = value.text;
+    } else if (key == "stdlib" || key == "compiled") {
+      if (!is_bool) return fail("\"" + key + "\" must be a boolean");
+      (key == "stdlib" ? job.stdlib : job.compiled) = value.boolean;
     } else if (key == "time_limit") {
-      double v = 0;
-      if (is_string || !parse_double(value, v) || v < 0) {
-        return fail("\"time_limit\" must be a non-negative number");
-      }
-      job.time_limit = v;
+      std::optional<double> v = value.as_double();
+      if (!v || *v < 0) return fail("\"time_limit\" must be a non-negative number");
+      job.time_limit = *v;
     } else if (key == "jobs") {
-      long v = 0;
-      if (is_string || !parse_long(value, v) || v < 0) {
+      std::optional<std::int64_t> v = value.as_int64();
+      if (!v || *v < 0 || *v > std::numeric_limits<unsigned>::max()) {
         return fail("\"jobs\" must be a non-negative integer");
       }
-      job.jobs = static_cast<unsigned>(v);
+      job.jobs = static_cast<unsigned>(*v);
     } else if (key == "reverify") {
-      if (!is_string || value.empty()) {
+      if (!is_string || value.text.empty()) {
         return fail("\"reverify\" must be a non-empty delta file path");
       }
-      job.reverify = value;
+      job.reverify = value.text;
     } else if (key == "fault") {
-      std::string spec_error;
+      if (!is_string) return fail("\"fault\" must be a string");
       // Validate eagerly so a typo'd chaos spec fails the batch load, not
-      // silently runs every worker clean. Validation must not disturb the
-      // process-wide plan, so parse into a scratch config... the fault
-      // layer has no dry-run entry point; a structural check suffices here:
-      // entries are validated by the worker at startup, and scaldtvd logs
-      // worker stderr. Shape check: site@N:action per comma-entry.
+      // silently runs every worker clean. A shape check (site@N:action per
+      // comma-entry) suffices: the worker validates entries at startup.
+      const std::string& spec = value.text;
       std::size_t from = 0;
-      while (from <= value.size()) {
-        std::size_t comma = value.find(',', from);
-        if (comma == std::string::npos) comma = value.size();
-        std::string part = value.substr(from, comma - from);
+      while (from <= spec.size()) {
+        std::size_t comma = spec.find(',', from);
+        if (comma == std::string::npos) comma = spec.size();
+        std::string part = spec.substr(from, comma - from);
         if (!part.empty()) {
           std::size_t at = part.find('@');
           std::size_t colon = at == std::string::npos ? std::string::npos
@@ -180,19 +75,17 @@ std::optional<JobSpec> parse_job_line(const std::string& line, std::string* erro
         }
         from = comma + 1;
       }
-      job.fault = value;
+      job.fault = spec;
     } else if (key == "fault_attempts") {
-      long v = 0;
-      if (is_string || !parse_long(value, v) || v < 0) {
+      std::optional<std::int64_t> v = value.as_int64();
+      if (!v || *v < 0 || *v > std::numeric_limits<int>::max()) {
         return fail("\"fault_attempts\" must be a non-negative integer");
       }
-      job.fault_attempts = static_cast<int>(v);
+      job.fault_attempts = static_cast<int>(*v);
     } else {
       return fail("unknown key \"" + key + "\"");
     }
   }
-  sc.skip_ws();
-  if (sc.i != sc.s.size()) return fail("trailing characters after object");
   if (job.id.empty()) return fail("missing \"id\"");
   if (job.design.empty()) return fail("missing \"design\"");
   return job;
@@ -233,7 +126,7 @@ std::vector<std::string> worker_args(const JobSpec& job) {
   if (job.stdlib) args.push_back("--stdlib");
   if (job.time_limit > 0) {
     args.push_back("--time-limit");
-    args.push_back(format_double(job.time_limit));
+    args.push_back(format_time_limit(job.time_limit));
   }
   if (job.jobs > 0) {
     args.push_back("--jobs");

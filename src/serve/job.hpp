@@ -63,6 +63,10 @@ std::optional<JobSpec> parse_job_line(const std::string& line, std::string* erro
 std::optional<std::vector<JobSpec>> parse_job_file(const std::string& path,
                                                    std::string* error);
 
+/// A time limit as worker text, trailing zeros trimmed so it stays stable
+/// and readable (5.0 -> "5", 0.25 -> "0.25"); argv and the warm pipe share it.
+std::string format_time_limit(double seconds);
+
 /// The worker argv (excluding argv[0]) a job translates to.
 std::vector<std::string> worker_args(const JobSpec& job);
 

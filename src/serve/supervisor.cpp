@@ -16,6 +16,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "core/wire_format.hpp"
 #include "serve/journal.hpp"
 #include "serve/warm_pool.hpp"
 #include "util/fault.hpp"
@@ -36,15 +37,6 @@ namespace tv::serve {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-std::uint64_t fnv1a(const void* data, std::size_t len, std::uint64_t h) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 // Per-job bookkeeping while the batch runs.
 struct Slot {
@@ -78,15 +70,15 @@ std::string quarantine_key(const JobSpec& job) {
   if (in) {
     char buf[1 << 16];
     while (in.read(buf, sizeof buf) || in.gcount() > 0) {
-      h = fnv1a(buf, static_cast<std::size_t>(in.gcount()), h);
+      h = wire::fnv1a(buf, static_cast<std::size_t>(in.gcount()), h);
       if (!in) break;
     }
   } else {
-    h = fnv1a(job.design.data(), job.design.size(), h);
+    h = wire::fnv1a(job.design.data(), job.design.size(), h);
   }
   unsigned char flags = static_cast<unsigned char>((job.compiled ? 1 : 0) |
                                                    (job.stdlib ? 2 : 0));
-  h = fnv1a(&flags, sizeof flags, h);
+  h = wire::fnv1a(&flags, sizeof flags, h);
   char out[17];
   std::snprintf(out, sizeof out, "%016llx", static_cast<unsigned long long>(h));
   return out;
@@ -215,9 +207,9 @@ std::uint64_t backoff_delay_ms(const SupervisorOptions& opts,
     delay *= 2;
   }
   if (delay > opts.backoff_max_ms) delay = opts.backoff_max_ms;
-  std::uint64_t h = fnv1a(job_id.data(), job_id.size(), 14695981039346656037ull);
-  h = fnv1a(&attempt, sizeof attempt, h);
-  h = fnv1a(&opts.jitter_seed, sizeof opts.jitter_seed, h);
+  std::uint64_t h = wire::fnv1a(job_id.data(), job_id.size());
+  h = wire::fnv1a(&attempt, sizeof attempt, h);
+  h = wire::fnv1a(&opts.jitter_seed, sizeof opts.jitter_seed, h);
   std::uint64_t jitter = opts.backoff_base_ms ? h % opts.backoff_base_ms : 0;
   // backoff_max_ms caps the *total* delay: jitter fills the gap below the
   // cap but never pushes past it.

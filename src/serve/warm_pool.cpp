@@ -22,6 +22,7 @@
 #include "diag/render.hpp"
 #include "hdl/elaborate.hpp"
 #include "hdl/stdlib.hpp"
+#include "util/atomic_file.hpp"
 #include "util/crash.hpp"
 #include "util/fault.hpp"
 
@@ -45,25 +46,6 @@ bool read_line(int fd, std::string& buf, std::string& line) {
     if (n <= 0) return false;
     buf.append(chunk, static_cast<std::size_t>(n));
   }
-}
-
-bool write_all(int fd, const std::string& s) {
-  std::size_t off = 0;
-  while (off < s.size()) {
-    ssize_t n = write(fd, s.data() + off, s.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
 }
 
 /// One resident worker as the parent sees it.
@@ -112,12 +94,12 @@ class WarmPoolBackend : public WorkerBackend {
     }
     if (w.pid < 0 && !spawn(job, key, w)) return -1;
 
-    std::string cmd = "run " + format_double(job.time_limit) + ' ' +
+    std::string cmd = "run " + format_time_limit(job.time_limit) + ' ' +
                       std::to_string(job.jobs) + ' ' +
                       (spec && !spec->empty() ? *spec : std::string("-")) + ' ' +
                       (job.reverify.empty() ? std::string("-") : job.reverify) + '\n';
     w.resp_buf.clear();
-    if (!write_all(w.cmd_fd, cmd)) {
+    if (!util::write_all(w.cmd_fd, cmd)) {
       destroy(w);
       return -1;
     }
@@ -582,7 +564,7 @@ int warm_worker_main(const std::string& design, bool stdlib, bool compiled,
     int code = run_once(time_limit, jobs, reverify_text, durability_lost);
     std::string resp = "done " + std::to_string(code);
     if (durability_lost) resp += " nodur";
-    if (!write_all(resp_fd, resp + '\n')) return 0;
+    if (!util::write_all(resp_fd, resp + '\n')) return 0;
   }
 }
 

@@ -17,7 +17,8 @@ void set_error(std::string* error, const std::string& what) {
   if (error != nullptr) *error = what + ": " + std::strerror(errno);
 }
 
-// Writes the whole buffer, retrying short writes and EINTR.
+}  // namespace
+
 bool write_all(int fd, std::string_view data) {
   const char* p = data.data();
   std::size_t left = data.size();
@@ -32,8 +33,6 @@ bool write_all(int fd, std::string_view data) {
   }
   return true;
 }
-
-}  // namespace
 
 bool atomic_write_file(const std::string& path, std::string_view data,
                        std::string* error) {

@@ -24,4 +24,8 @@ namespace tv::util {
 bool atomic_write_file(const std::string& path, std::string_view data,
                        std::string* error = nullptr);
 
+/// Writes all of `data` to `fd`, retrying short writes and EINTR. False on
+/// any other write error (errno is left set).
+bool write_all(int fd, std::string_view data);
+
 }  // namespace tv::util

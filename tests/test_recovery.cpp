@@ -442,6 +442,25 @@ TEST(Journal, DigestBindsEveryJobField) {
   differs([](auto& j) { j.pop_back(); }, "job count");
 }
 
+TEST(Journal, DigestIsPinnedForExistingJournals) {
+  // Journals on disk bind this value in their header; a change to the hash
+  // would make every one of them refuse to resume.
+  std::vector<serve::JobSpec> jobs(2);
+  jobs[0].id = "a";
+  jobs[0].design = "d1.shdl";
+  jobs[1].id = "b";
+  jobs[1].design = "d2.tvc";
+  jobs[1].compiled = true;
+  jobs[1].stdlib = true;
+  jobs[1].time_limit = 2.5;
+  jobs[1].jobs = 4;
+  jobs[1].reverify = "e.json";
+  jobs[1].fault = "io.read@1:fail";
+  jobs[1].fault_attempts = 1;
+  EXPECT_EQ(serve::jobs_digest(jobs), 0xe267fc1c2a9122d6ull);
+  EXPECT_EQ(serve::jobs_digest({}), 0xa8c7f832281a39c5ull);
+}
+
 TEST(Journal, DeriveSettlementMatchesTheSupervisor) {
   using serve::derive_settlement;
   using serve::JobState;

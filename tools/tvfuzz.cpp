@@ -19,7 +19,9 @@
 // A fourth mode, --parser-fuzz, mutates valid SHDL sources (byte- and
 // token-level, seeded) and feeds them to the diagnostic front end: it must
 // never crash, never let an exception escape, and always report at least
-// one error diagnostic when it rejects an input.
+// one error diagnostic when it rejects an input. Each seed also mutates a
+// job line, a netlist delta and a journal file through the JSON readers
+// under the same contract.
 //
 // A sixth mode, --batch-diff, runs each random circuit's case analysis
 // through both the per-case snapshot path and the structure-of-arrays
@@ -114,8 +116,9 @@ void usage(const char* argv0) {
                "  --snapshot-diff snapshot each circuit's baseline fixpoint, restore\n"
                "                it into a fresh verifier, and replay an edit script on\n"
                "                both; fail on any byte divergence (counters included)\n"
-               "  --parser-fuzz mutate valid SHDL sources and assert the front end\n"
-               "                never crashes and always diagnoses rejected input\n"
+               "  --parser-fuzz mutate valid SHDL sources, job lines, deltas and journals;\n"
+               "                assert the readers never crash and always explain a\n"
+               "                rejection\n"
                "  --serve-chaos run seeded faulted batches through scaldtvd and assert\n"
                "                every job ends terminal with retries observable\n"
                "  --scaldtvd P  daemon binary for --serve-chaos (or TV_SCALDTVD)\n"
@@ -318,8 +321,8 @@ int main(int argc, char** argv) {
   }
 
   if (opt.parser_fuzz) {
-    // Front-end robustness mode: mutated SHDL must never crash the parser
-    // stack and every rejection must carry at least one error diagnostic.
+    // Input robustness mode: mutated SHDL and JSON inputs must never crash
+    // their readers and every rejection must carry a diagnostic or message.
     for (int i = 0; i < opt.circuit_seeds; ++i) {
       std::uint64_t seed = opt.start + static_cast<std::uint64_t>(i);
       auto fail = tv::check::check_parser_robustness(seed);
