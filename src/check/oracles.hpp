@@ -91,30 +91,6 @@ struct WaveCase {
 WaveCase random_wave_case(std::uint64_t seed);
 std::optional<Failure> check_wave_algebra(const WaveCase& wc);
 
-// --- interning/memoization differential ------------------------------------
-
-/// Runs the spec's circuit twice -- waveform interning + evaluation
-/// memo-cache on, then off -- and fails (kind "memo-diff") on any divergence
-/// in waveforms, evaluation strings, event counts, convergence, violation
-/// reports, or per-case results. The two modes must be bit-identical; this
-/// is tvfuzz's --memo-diff oracle.
-std::optional<Failure> check_memo_equivalence(const CircuitSpec& spec);
-
-/// Runs the spec's circuit twice -- batch case evaluation on, then off --
-/// and fails (kind "batch-diff") on any divergence in waveforms,
-/// disturbed-signal counts, convergence, degradation flags, violation
-/// reports, or per-case results. The lockstep sweep must be bit-identical
-/// to the per-case reference path; this is tvfuzz's --batch-diff oracle.
-std::optional<Failure> check_batch_equivalence(const CircuitSpec& spec);
-
-/// Round-trips the spec's circuit through the compiled-design artifact
-/// (core/compiled.hpp): serialize, reload, verify, and fail (kind
-/// "compile-diff") on any divergence from the in-memory original in
-/// waveforms, event counts, convergence, violation reports, or per-case
-/// results -- plus a determinism check that serializing twice yields
-/// byte-identical artifacts. This is tvfuzz's --compile-diff oracle.
-std::optional<Failure> check_compile_equivalence(const CircuitSpec& spec);
-
 /// Renders the case as C++ statements building a `tv::check::WaveCase w;`.
 std::string to_cpp(const WaveCase& wc);
 

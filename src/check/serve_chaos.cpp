@@ -8,10 +8,10 @@
 #include <cstdlib>
 #include <fstream>
 #include <random>
-#include <sstream>
 #include <vector>
 
 #include "check/parser_fuzz.hpp"
+#include "util/atomic_file.hpp"
 #include "util/json.hpp"
 
 namespace tv::check {
@@ -84,11 +84,9 @@ void write_file(const std::string& path, const std::string& text) {
   std::ofstream(path, std::ios::binary) << text;
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
+/// The file's text; "" when it is missing (a run that wrote nothing).
+std::string read_text(const std::string& path) {
+  return util::read_file(path).value_or("");
 }
 
 /// The shell command for one journaled daemon run of the batch in
@@ -226,7 +224,7 @@ std::optional<ServeChaosFailure> check_serve_chaos(const ServeChaosOptions& opts
       return fail("bad-exit-code", "expected daemon exit 4 (crashed job), got " +
                                        std::to_string(code) + "; work dir kept at " + dir);
     }
-    manifests[run] = read_file(manifest_path);
+    manifests[run] = read_text(manifest_path);
     cleanup.push_back(manifest_path);
   }
   if (manifests[0] != manifests[1]) {
@@ -396,7 +394,7 @@ std::optional<ServeChaosFailure> check_reverify_chaos(const ServeChaosOptions& o
                         ": expected daemon exit 4 (crashed reverify job), got " +
                         std::to_string(code) + "; work dir kept at " + dir);
       }
-      manifests[run] = read_file(manifest_path);
+      manifests[run] = read_text(manifest_path);
       cleanup.push_back(manifest_path);
     }
     if (manifests[0] != manifests[1]) {
@@ -521,11 +519,11 @@ std::optional<ServeChaosFailure> check_kill_restart(const ServeChaosOptions& opt
   cleanup.push_back(ref_journal);
   cleanup.push_back(ref_manifest);
   std::system(daemon_cmd(ref_journal, ref_manifest, "", false).c_str());
-  std::string reference = read_file(ref_manifest);
+  std::string reference = read_text(ref_manifest);
   if (reference.empty()) {
     return fail("bad-config", "reference run wrote no manifest; work dir kept at " + dir);
   }
-  std::string ref_journal_text = read_file(ref_journal);
+  std::string ref_journal_text = read_text(ref_journal);
   int transitions = 0;
   for (char c : ref_journal_text) transitions += c == '\n';
   --transitions;  // header line is written before any transition
@@ -549,11 +547,11 @@ std::optional<ServeChaosFailure> check_kill_restart(const ServeChaosOptions& opt
     // kill landed before the first append.
     std::system(daemon_cmd(kill_journal, kill_manifest, fault, false).c_str());
     int restarts = 0;
-    while (read_file(kill_manifest).empty() && restarts < 5) {
+    while (read_text(kill_manifest).empty() && restarts < 5) {
       ++restarts;
       std::system(daemon_cmd(kill_journal, kill_manifest, "", true).c_str());
     }
-    std::string resumed = read_file(kill_manifest);
+    std::string resumed = read_text(kill_manifest);
     if (resumed.empty()) {
       return fail("resume-wedged", "kill point " + std::to_string(n) + ": batch still "
                                        "unfinished after 5 restarts; work dir kept at " + dir);
@@ -631,7 +629,7 @@ std::optional<ServeChaosFailure> check_drain_requeue(const ServeChaosOptions& op
                   std::string("drain-") + sc.name + ": expected daemon exit 0, got " +
                       std::to_string(code) + "; work dir kept at " + dir);
     }
-    std::vector<ManifestRecord> records = manifest_records(read_file(manifest_path));
+    std::vector<ManifestRecord> records = manifest_records(read_text(manifest_path));
     if (records.size() != 1) {
       return fail("job-lost", std::string("drain-") + sc.name + ": manifest has " +
                                   std::to_string(records.size()) +
@@ -705,7 +703,7 @@ std::optional<ServeChaosFailure> check_mem_breach(const ServeChaosOptions& opts)
                                        ": expected daemon exit 6 (resource-exhausted), got " +
                                        std::to_string(code) + "; work dir kept at " + dir);
     }
-    manifests[warm] = read_file(manifest_path);
+    manifests[warm] = read_text(manifest_path);
     cleanup.push_back(manifest_path);
 
     std::vector<ManifestRecord> records = manifest_records(manifests[warm]);
@@ -756,7 +754,7 @@ std::optional<ServeChaosFailure> check_mem_breach(const ServeChaosOptions& opts)
     if (!opts.verbose) cmd += " 2>/dev/null";
     std::system(cmd.c_str());
   }
-  std::vector<ManifestRecord> retry_records = manifest_records(read_file(retry_manifest));
+  std::vector<ManifestRecord> retry_records = manifest_records(read_text(retry_manifest));
   if (retry_records.size() != 1 || retry_records[0].state == "resource-exhausted" ||
       retry_records[0].state == "crashed") {
     return fail("mem-retry-ignored",
@@ -828,7 +826,7 @@ std::optional<ServeChaosFailure> check_shed(const ServeChaosOptions& opts) {
                                        ": expected daemon exit 7 (shed), got " +
                                        std::to_string(code) + "; work dir kept at " + dir);
     }
-    manifests[run] = read_file(manifest_path);
+    manifests[run] = read_text(manifest_path);
     cleanup.push_back(manifest_path);
   }
   if (manifests[0] != manifests[1]) {
@@ -935,7 +933,7 @@ std::optional<ServeChaosFailure> check_quarantine_resume(const ServeChaosOptions
     return fail("bad-exit-code", "reference run: expected daemon exit 4, got " +
                                      std::to_string(code) + "; work dir kept at " + dir);
   }
-  std::string reference = read_file(ref_manifest);
+  std::string reference = read_text(ref_manifest);
   std::vector<ManifestRecord> records = manifest_records(reference);
   if (records.size() != 6) {
     return fail("job-lost", "manifest has " + std::to_string(records.size()) +
@@ -979,7 +977,7 @@ std::optional<ServeChaosFailure> check_quarantine_resume(const ServeChaosOptions
   // The kill sweep: SIGKILL at every durable transition, resume, and demand
   // byte-identity -- quarantine and shed settlements must replay exactly
   // like verdicts, and the ledger must re-trip the breaker on resume.
-  std::string ref_journal_text = read_file(ref_journal);
+  std::string ref_journal_text = read_text(ref_journal);
   int transitions = 0;
   for (char c : ref_journal_text) transitions += c == '\n';
   --transitions;  // header line is written before any transition
@@ -998,11 +996,11 @@ std::optional<ServeChaosFailure> check_quarantine_resume(const ServeChaosOptions
     std::string fault = "serve.kill9@" + std::to_string(n) + ":kill9";
     std::system(daemon_cmd(kill_journal, kill_manifest, fault, false).c_str());
     int restarts = 0;
-    while (read_file(kill_manifest).empty() && restarts < 5) {
+    while (read_text(kill_manifest).empty() && restarts < 5) {
       ++restarts;
       std::system(daemon_cmd(kill_journal, kill_manifest, "", true).c_str());
     }
-    std::string resumed = read_file(kill_manifest);
+    std::string resumed = read_text(kill_manifest);
     if (resumed.empty()) {
       return fail("resume-wedged", "kill point " + std::to_string(n) + ": batch still "
                                        "unfinished after 5 restarts; work dir kept at " + dir);
@@ -1061,11 +1059,11 @@ std::optional<ServeChaosFailure> check_write_fail(const ServeChaosOptions& opts)
   cleanup.push_back(ref_journal);
   cleanup.push_back(ref_manifest);
   std::system(daemon_cmd(ref_journal, ref_manifest, "", false).c_str());
-  std::string reference = read_file(ref_manifest);
+  std::string reference = read_text(ref_manifest);
   if (reference.empty()) {
     return fail("bad-config", "reference run wrote no manifest; work dir kept at " + dir);
   }
-  std::string ref_journal_text = read_file(ref_journal);
+  std::string ref_journal_text = read_text(ref_journal);
   int writes = 0;
   for (char c : ref_journal_text) writes += c == '\n';
   ++writes;  // the manifest's atomic_write_file is the final durable write
@@ -1094,11 +1092,11 @@ std::optional<ServeChaosFailure> check_write_fail(const ServeChaosOptions& opts)
                       std::to_string(code) + ", expected 2; work dir kept at " + dir);
     }
     int restarts = 0;
-    while (read_file(kill_manifest) != reference && restarts < 5) {
+    while (read_text(kill_manifest) != reference && restarts < 5) {
       ++restarts;
       std::system(daemon_cmd(kill_journal, kill_manifest, "", true).c_str());
     }
-    if (read_file(kill_manifest) != reference) {
+    if (read_text(kill_manifest) != reference) {
       return fail("resume-divergence",
                   "durable write " + std::to_string(n) + ": manifest never converged to "
                       "the uninterrupted run's after 5 resumes; work dir kept at " + dir);

@@ -31,8 +31,10 @@ WaveCase shrink_wave(const WaveCase& failing, const WavePred& still_fails,
                      int max_checks = 4000);
 
 /// Renders a ready-to-paste gtest regression test asserting that the given
-/// spec passes the named oracle ("conservatism" or "wave-algebra").
-std::string gtest_repro(const CircuitSpec& spec, const std::string& oracle_kind);
+/// spec passes the named oracle: `check_call`, an expression over the spec
+/// `s`, must return no failure.
+std::string gtest_repro(const CircuitSpec& spec, const std::string& oracle_kind,
+                        const std::string& check_call = "tv::check::check_conservatism(s)");
 std::string gtest_repro(const WaveCase& wc, const std::string& oracle_kind);
 
 }  // namespace tv::check

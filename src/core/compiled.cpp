@@ -7,8 +7,6 @@
 #include <unistd.h>
 
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <unordered_map>
 
 #include "core/wire_format.hpp"
@@ -528,21 +526,14 @@ std::optional<CompiledDesign> load_compiled_file(const std::string& path,
     }
   }
   ::close(fd);
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  bool opened = false;
+  std::optional<std::string> bytes = util::read_file(path, &opened);
+  if (!bytes) {
     diags.report(diag::Severity::Error, diag::kErrArtifactIo, diag::SourceLoc{},
-                 path + ": cannot open compiled design");
+                 path + (opened ? ": read error" : ": cannot open compiled design"));
     return std::nullopt;
   }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  if (!in.good() && !in.eof()) {
-    diags.report(diag::Severity::Error, diag::kErrArtifactIo, diag::SourceLoc{},
-                 path + ": read error");
-    return std::nullopt;
-  }
-  std::string bytes = buf.str();
-  return load_compiled(bytes, path, diags);
+  return load_compiled(*bytes, path, diags);
 }
 
 bool write_compiled_file(CompiledDesign& design, const std::string& path, std::string* error) {

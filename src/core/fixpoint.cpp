@@ -9,8 +9,6 @@
 #include <unistd.h>
 
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -510,21 +508,14 @@ std::optional<FixpointState> load_fixpoint_file(const std::string& path,
     }
   }
   ::close(fd);
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  bool opened = false;
+  std::optional<std::string> bytes = util::read_file(path, &opened);
+  if (!bytes) {
     diags.report(diag::Severity::Error, diag::kErrSnapshotIo, diag::SourceLoc{},
-                 path + ": cannot open fixpoint snapshot");
+                 path + (opened ? ": read error" : ": cannot open fixpoint snapshot"));
     return std::nullopt;
   }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  if (!in.good() && !in.eof()) {
-    diags.report(diag::Severity::Error, diag::kErrSnapshotIo, diag::SourceLoc{},
-                 path + ": read error");
-    return std::nullopt;
-  }
-  std::string bytes = buf.str();
-  return load_fixpoint(bytes, path, diags);
+  return load_fixpoint(*bytes, path, diags);
 }
 
 bool write_fixpoint_file(const Verifier& v, const std::string& design,

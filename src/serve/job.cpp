@@ -52,30 +52,11 @@ std::optional<JobSpec> parse_job_line(const std::string& line, std::string* erro
       job.reverify = value.text;
     } else if (key == "fault") {
       if (!is_string) return fail("\"fault\" must be a string");
-      // Validate eagerly so a typo'd chaos spec fails the batch load, not
-      // silently runs every worker clean. A shape check (site@N:action per
-      // comma-entry) suffices: the worker validates entries at startup.
-      const std::string& spec = value.text;
-      std::size_t from = 0;
-      while (from <= spec.size()) {
-        std::size_t comma = spec.find(',', from);
-        if (comma == std::string::npos) comma = spec.size();
-        std::string part = spec.substr(from, comma - from);
-        if (!part.empty()) {
-          std::size_t at = part.find('@');
-          std::size_t colon = at == std::string::npos ? std::string::npos
-                                                      : part.find(':', at);
-          std::string action =
-              colon == std::string::npos ? "" : part.substr(colon + 1);
-          if (at == std::string::npos || at == 0 || colon == std::string::npos ||
-              (action != "fail" && action != "abort" && action != "hang" &&
-               action != "kill9" && action != "bloat")) {
-            return fail("\"fault\" entry \"" + part + "\" is not site@N:action");
-          }
-        }
-        from = comma + 1;
-      }
-      job.fault = spec;
+      // Validate eagerly, with the parser the worker configures from, so a
+      // typo'd chaos spec fails the batch load instead of running clean.
+      std::string fault_error;
+      if (!fault::validate(value.text, &fault_error)) return fail("\"fault\": " + fault_error);
+      job.fault = value.text;
     } else if (key == "fault_attempts") {
       std::optional<std::int64_t> v = value.as_int64();
       if (!v || *v < 0 || *v > std::numeric_limits<int>::max()) {

@@ -7,8 +7,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "core/wire_format.hpp"
 #include "util/atomic_file.hpp"
@@ -216,11 +214,9 @@ std::optional<JournalReplay> replay_journal(const std::string& path, std::string
     if (error) *error = path + ": " + why;
     return std::nullopt;
   };
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return fail("cannot open");
-  std::stringstream buf;
-  buf << in.rdbuf();
-  std::string text = buf.str();
+  std::optional<std::string> read = util::read_file(path);
+  if (!read) return fail("cannot open");
+  const std::string& text = *read;
 
   JournalReplay replay;
   bool saw_header = false;

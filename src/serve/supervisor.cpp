@@ -12,6 +12,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -225,6 +226,14 @@ std::unique_ptr<WorkerBackend> make_fork_exec_backend(const SupervisorOptions& o
 
 Manifest run_jobs(const std::vector<JobSpec>& jobs, const SupervisorOptions& opts,
                   WorkerBackend& backend) {
+  // A daemon-wide plan util/fault refuses is refused here, before any
+  // worker starts: a fork/exec worker would ignore it and run clean, a warm
+  // one would answer input-error. scaldtvd checks --fault itself; this
+  // catches in-process callers, the same way for both backends.
+  std::string fault_error;
+  if (!opts.fault_spec.empty() && !fault::validate(opts.fault_spec, &fault_error)) {
+    throw std::invalid_argument("fault_spec: " + fault_error);
+  }
   std::vector<Slot> slots(jobs.size());
   std::size_t open_jobs = jobs.size();
   for (std::size_t i = 0; i < jobs.size(); ++i) {

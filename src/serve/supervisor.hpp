@@ -173,7 +173,9 @@ long worker_rss_bytes(pid_t pid);
 /// Runs every job to a terminal state (or Requeued under shutdown) and
 /// returns the manifest. Jobs are launched in input order; results are
 /// keyed by id, so output order does not depend on scheduling. The
-/// two-argument form picks the backend from opts.warm.
+/// two-argument form picks the backend from opts.warm. Throws
+/// std::invalid_argument, before any launch, when opts.fault_spec is a plan
+/// util/fault refuses.
 Manifest run_jobs(const std::vector<JobSpec>& jobs, const SupervisorOptions& opts);
 Manifest run_jobs(const std::vector<JobSpec>& jobs, const SupervisorOptions& opts,
                   WorkerBackend& backend);

@@ -8,10 +8,8 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <new>
 #include <optional>
-#include <sstream>
 #include <unordered_map>
 #include <vector>
 
@@ -25,6 +23,7 @@
 #include "util/atomic_file.hpp"
 #include "util/crash.hpp"
 #include "util/fault.hpp"
+#include "util/json.hpp"
 
 namespace tv::serve {
 
@@ -94,10 +93,14 @@ class WarmPoolBackend : public WorkerBackend {
     }
     if (w.pid < 0 && !spawn(job, key, w)) return -1;
 
-    std::string cmd = "run " + format_time_limit(job.time_limit) + ' ' +
-                      std::to_string(job.jobs) + ' ' +
-                      (spec && !spec->empty() ? *spec : std::string("-")) + ' ' +
-                      (job.reverify.empty() ? std::string("-") : job.reverify) + '\n';
+    // One JSON object per line: the fault spec and the delta path reach
+    // the worker intact whatever spaces or newlines they carry.
+    std::string cmd = "{\"time_limit\":" + format_time_limit(job.time_limit) +
+                      ",\"jobs\":" + std::to_string(job.jobs) + ",\"fault\":\"";
+    json::escape_into(cmd, spec ? *spec : std::string());
+    cmd += "\",\"reverify\":\"";
+    json::escape_into(cmd, job.reverify);
+    cmd += "\"}\n";
     w.resp_buf.clear();
     if (!util::write_all(w.cmd_fd, cmd)) {
       destroy(w);
@@ -390,20 +393,18 @@ int warm_worker_main(const std::string& design, bool stdlib, bool compiled,
       d.summary.prims_by_kind = seeds->summary.prims_by_kind;
       loaded = std::move(d);
     } else {
-      std::ifstream in(design);
-      if (!in) {
+      std::optional<std::string> text = util::read_file(design);
+      if (!text) {
         std::fprintf(stderr, "scaldtvd-worker: cannot open %s\n", design.c_str());
         return 2;
       }
-      std::stringstream buf;
-      buf << in.rdbuf();
       crash::set_context(design.c_str(), "parse + macro expansion");
       if (stdlib) {
         loaded = hdl::elaborate_sources(
-            {{"<stdlib>", hdl::std_chip_library()}, {design, buf.str()}}, diags);
+            {{"<stdlib>", hdl::std_chip_library()}, {design, *text}}, diags);
       } else {
         diags.set_current_file(design);
-        loaded = hdl::elaborate_source(buf.str(), diags);
+        loaded = hdl::elaborate_source(*text, diags);
       }
       if (!loaded) {
         dump_diags(diags);
@@ -487,8 +488,8 @@ int warm_worker_main(const std::string& design, bool stdlib, bool compiled,
       }
       if (!reverify_path.empty()) {
         crash::set_context(reverify_path.c_str(), "reverify (warm)");
-        std::ifstream din(reverify_path);
-        if (!din) {
+        std::optional<std::string> dtext = util::read_file(reverify_path);
+        if (!dtext) {
           std::fprintf(stderr, "scaldtvd-worker: cannot open %s\n",
                        reverify_path.c_str());
           return 2;
@@ -498,11 +499,9 @@ int warm_worker_main(const std::string& design, bool stdlib, bool compiled,
                        reverify_path.c_str());
           return 5;
         }
-        std::stringstream dbuf;
-        dbuf << din.rdbuf();
         NetlistDelta delta;
         std::string derror;
-        if (!parse_delta_json(dbuf.str(), loaded->netlist, &delta, &derror)) {
+        if (!parse_delta_json(*dtext, loaded->netlist, &delta, &derror)) {
           std::fprintf(stderr, "scaldtvd-worker: %s: %s\n", reverify_path.c_str(),
                        derror.c_str());
           return 2;
@@ -542,26 +541,30 @@ int warm_worker_main(const std::string& design, bool stdlib, bool compiled,
   std::string buf, line;
   for (;;) {
     if (!read_line(cmd_fd, buf, line)) return 0;  // parent closed: retire
-    std::istringstream is(line);
-    std::string verb, tl_text, jobs_text, fault_text;
-    is >> verb >> tl_text >> jobs_text >> fault_text;
-    if (verb != "run" || tl_text.empty() || jobs_text.empty() ||
-        fault_text.empty()) {
+    std::optional<json::Value> cmd = json::parse(line, nullptr);
+    const json::Value* tl = cmd ? cmd->get("time_limit") : nullptr;
+    const json::Value* jobs = cmd ? cmd->get("jobs") : nullptr;
+    const json::Value* spec = cmd ? cmd->get("fault") : nullptr;
+    const json::Value* reverify = cmd ? cmd->get("reverify") : nullptr;
+    std::optional<double> time_limit = tl ? tl->as_double() : std::nullopt;
+    std::optional<std::int64_t> njobs = jobs ? jobs->as_int64() : std::nullopt;
+    if (!time_limit || !njobs || *njobs < 0 || !spec ||
+        spec->type != json::Value::Type::String || !reverify ||
+        reverify->type != json::Value::Type::String) {
       return 1;  // protocol error: retire loudly (parent treats as lost)
     }
-    // The delta path is the rest of the line (it may contain spaces).
-    std::string reverify_text;
-    std::getline(is, reverify_text);
-    std::size_t rstart = reverify_text.find_first_not_of(' ');
-    reverify_text = rstart == std::string::npos ? "" : reverify_text.substr(rstart);
-    if (reverify_text == "-") reverify_text.clear();
-    double time_limit = std::strtod(tl_text.c_str(), nullptr);
-    unsigned jobs = static_cast<unsigned>(std::strtoul(jobs_text.c_str(), nullptr, 10));
     // Reconfigure fault injection per run so @N counters behave exactly as
-    // in a freshly exec'd worker.
-    fault::configure(fault_text == "-" ? "" : fault_text);
+    // in a freshly exec'd worker; a plan util/fault refuses is an input
+    // error, never a silent clean run.
     bool durability_lost = false;
-    int code = run_once(time_limit, jobs, reverify_text, durability_lost);
+    std::string fault_error;
+    int code = 2;
+    if (fault::configure(spec->text, &fault_error)) {
+      code = run_once(*time_limit, static_cast<unsigned>(*njobs), reverify->text,
+                      durability_lost);
+    } else {
+      std::fprintf(stderr, "scaldtvd-worker: %s\n", fault_error.c_str());
+    }
     std::string resp = "done " + std::to_string(code);
     if (durability_lost) resp += " nodur";
     if (!util::write_all(resp_fd, resp + '\n')) return 0;

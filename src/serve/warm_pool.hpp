@@ -5,22 +5,26 @@
 // artifact load), and an empty waveform-intern table. The warm pool keeps
 // one resident worker process per distinct design alive across jobs: the
 // worker loads the design once, constructs one long-lived Verifier (whose
-// WaveformTable and EvalMemo stay populated), and then serves "run"
+// WaveformTable and EvalMemo stay populated), and then serves run
 // commands over a pipe, answering each with the exit code scaldtv would
 // have produced.
 //
-// Protocol (newline-delimited text, parent -> worker on the command pipe,
+// Protocol (one line per message, parent -> worker on the command pipe,
 // worker -> parent on the response pipe):
 //
-//   run <time_limit> <jobs> <fault-spec|-> <delta-path|->   one job
-//   done <code> [nodur]                        its scaldtv-compatible exit code
+//   {"time_limit":T,"jobs":N,"fault":"spec","reverify":"path"}   one job
+//   done <code> [nodur]                 its scaldtv-compatible exit code
+//
+// The command is one util/json object, so a fault spec or delta path
+// arrives verbatim whatever spaces or newlines it holds; an empty string
+// means none. A fault spec util/fault refuses is answered `done 2`.
 //
 // The optional "nodur" token reports that the run wanted to persist its
 // fixpoint sidecar but the filesystem refused the write (ENOSPC-shaped):
 // the verdict stands, the worker serves on without durability, and the
 // parent counts the degradation into Manifest::durability_degraded.
 //
-// A non-"-" delta path makes the run a reverify job (scaldtv --reverify):
+// A non-empty delta path makes the run a reverify job (scaldtv --reverify):
 // after the baseline verification the worker applies the JSON netlist delta
 // and reports on the edited design. The worker then restores its resident
 // baseline by applying the inverse delta; if the restore fails for any

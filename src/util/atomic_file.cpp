@@ -1,6 +1,7 @@
 #include "util/atomic_file.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -101,6 +102,26 @@ bool atomic_write_file(const std::string& path, std::string_view data,
     ::close(dfd);
   }
   return true;
+}
+
+std::optional<std::string> read_file(const std::string& path, bool* opened) {
+  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (opened != nullptr) *opened = fd >= 0;
+  if (fd < 0) return std::nullopt;
+  std::string out;
+  struct stat st;
+  if (::fstat(fd, &st) == 0 && st.st_size > 0) out.reserve(static_cast<std::size_t>(st.st_size));
+  char chunk[1 << 16];
+  for (;;) {
+    ssize_t n = ::read(fd, chunk, sizeof chunk);
+    if (n > 0) {
+      out.append(chunk, static_cast<std::size_t>(n));
+    } else if (n == 0 || errno != EINTR) {
+      ::close(fd);
+      if (n < 0) return std::nullopt;
+      return out;
+    }
+  }
 }
 
 }  // namespace tv::util

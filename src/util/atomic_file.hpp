@@ -9,8 +9,11 @@
 // the complete new file; a crash mid-write can never leave a torn or
 // half-length artifact behind, only an orphaned `.tmp.*` sibling that
 // the next successful write of the same path cleans up.
+//
+// read_file is the matching whole-file read every loader shares.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -27,5 +30,9 @@ bool atomic_write_file(const std::string& path, std::string_view data,
 /// Writes all of `data` to `fd`, retrying short writes and EINTR. False on
 /// any other write error (errno is left set).
 bool write_all(int fd, std::string_view data);
+
+/// Reads the whole file at `path`. nullopt when it cannot be opened or a
+/// read fails; `*opened` (when non-null) tells the two apart.
+std::optional<std::string> read_file(const std::string& path, bool* opened = nullptr);
 
 }  // namespace tv::util

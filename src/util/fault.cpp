@@ -63,10 +63,7 @@ bool parse_entry(const std::string& text, Entry& e, std::string* error) {
   return true;
 }
 
-}  // namespace
-
-bool configure(const std::string& spec, std::string* error) {
-  std::vector<Entry> plan;
+bool parse_plan(const std::string& spec, std::vector<Entry>& plan, std::string* error) {
   std::size_t from = 0;
   while (from < spec.size()) {
     std::size_t comma = spec.find(',', from);
@@ -78,6 +75,19 @@ bool configure(const std::string& spec, std::string* error) {
     if (!parse_entry(part, e, error)) return false;
     plan.push_back(std::move(e));
   }
+  return true;
+}
+
+}  // namespace
+
+bool validate(const std::string& spec, std::string* error) {
+  std::vector<Entry> plan;
+  return parse_plan(spec, plan, error);
+}
+
+bool configure(const std::string& spec, std::string* error) {
+  std::vector<Entry> plan;
+  if (!parse_plan(spec, plan, error)) return false;
   std::lock_guard<std::mutex> lock(g_mu);
   g_plan = std::move(plan);
   g_enabled.store(!g_plan.empty(), std::memory_order_release);

@@ -5,6 +5,7 @@
 // evaluation across tvfuzz-generated netlists.
 #include <gtest/gtest.h>
 
+#include "check/equiv.hpp"
 #include "check/oracles.hpp"
 #include "core/evaluator.hpp"
 #include "core/storage_stats.hpp"
@@ -111,12 +112,19 @@ TEST(InterningProperties, AlgebraPreservesWidthSum) {
 TEST(InterningProperties, MemoCachedEvaluationIsBitIdentical) {
   // The tentpole's soundness property across 64 tvfuzz-generated netlists:
   // interning + memo on vs off must produce identical waveforms, events,
-  // reports, and per-case results (the same oracle tvfuzz --memo-diff runs).
+  // reports, and per-case results, both per case (the harness preset
+  // tvfuzz --memo-diff runs) and under lane batching, the default engine
+  // (--batch-diff).
   for (std::uint64_t seed = 1; seed <= 64; ++seed) {
     check::CircuitSpec spec = check::random_spec(seed);
-    auto failure = check::check_memo_equivalence(spec);
-    EXPECT_FALSE(failure.has_value())
-        << "seed " << seed << ": " << (failure ? failure->detail : "");
+    check::EquivOptions memo, batched;
+    memo.memo = true;
+    batched.batch = true;
+    for (const check::EquivOptions& o : {memo, batched}) {
+      auto failure = check::check_equivalence(spec, o);
+      EXPECT_FALSE(failure.has_value())
+          << "seed " << seed << ": " << (failure ? failure->detail : "");
+    }
   }
 }
 

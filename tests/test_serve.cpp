@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <fstream>
 #include <new>
+#include <stdexcept>
 #include <thread>
 
 #include "core/compiled.hpp"
@@ -71,6 +72,28 @@ TEST(JobParse, RejectsBadLines) {
     EXPECT_FALSE(parse_job_line(line, &error)) << line;
     EXPECT_FALSE(error.empty()) << line;
   }
+}
+
+TEST(JobParse, FaultSpecsAreCheckedByTheFaultParser) {
+  // The loader refuses exactly what util/fault would refuse, with its
+  // message, so no job loads a plan its worker would ignore.
+  std::string error, expected;
+  EXPECT_FALSE(parse_job_line(
+      R"({"id": "j", "design": "d", "fault": "evaluator.eval@x:abort"})", &error));
+  EXPECT_FALSE(fault::validate("evaluator.eval@x:abort", &expected));
+  EXPECT_NE(error.find(expected), std::string::npos) << error;
+  EXPECT_NE(error.find("hit count must be a positive integer"), std::string::npos) << error;
+  // Whatever util/fault accepts loads unchanged, spaces included.
+  auto job = parse_job_line(
+      R"({"id": "j", "design": "d", "fault": "io.read@99:fail, evaluator.eval@99999:fail"})",
+      &error);
+  ASSERT_TRUE(job) << error;
+  EXPECT_EQ(job->fault, "io.read@99:fail, evaluator.eval@99999:fail");
+  // Validation never touches the active plan.
+  ASSERT_TRUE(fault::configure("io.read@1:fail"));
+  EXPECT_FALSE(fault::validate("io.read@0:fail"));
+  EXPECT_EQ(fault::describe(), "io.read@1:fail");
+  fault::reset();
 }
 
 TEST(JobParse, FileSkipsCommentsAndRejectsDuplicates) {
@@ -631,6 +654,43 @@ TEST_F(WarmSupervisorTest, ManifestMatchesForkExecByteForByte) {
   std::string warm = run_jobs(batch, warm_opts()).to_json();
   std::string cold = run_jobs(batch, fast_opts()).to_json();
   EXPECT_EQ(warm, cold);
+}
+
+TEST_F(WarmSupervisorTest, FaultSpecsAndDeltaPathsCrossThePipeVerbatim) {
+  // The warm pipe carries each job as one JSON line, so a fault spec with a
+  // space and a delta path with a newline reach the resident worker whole:
+  // both jobs settle as they do under fork/exec.
+  std::string delta = ::testing::TempDir() + "warm pipe\ndelta.json";
+  std::ofstream(delta) << "{}";
+  JobSpec spaced = job("spaced", "/designs/regfile_example.shdl");
+  spaced.fault = "io.read@99:fail, evaluator.eval@99999:fail";
+  JobSpec edited = job("edited", "/designs/regfile_example.shdl");
+  edited.reverify = delta;
+  std::vector<JobSpec> batch{spaced, edited};
+  Manifest warm = run_jobs(batch, warm_opts());
+  for (const JobRecord& r : warm.jobs) {
+    EXPECT_EQ(r.state, JobState::Violations) << r.id;
+    EXPECT_EQ(r.attempts, 1) << r.id;
+  }
+  EXPECT_EQ(warm.to_json(), run_jobs(batch, fast_opts()).to_json());
+  std::remove(delta.c_str());
+}
+
+TEST_F(WarmSupervisorTest, MalformedDaemonFaultPlanIsRefusedByBothBackends) {
+  // A daemon-wide plan util/fault refuses bypasses the job loader; run_jobs
+  // refuses it before either backend launches anything, with util/fault's
+  // message, instead of one backend running clean and the other not.
+  std::string expected;
+  ASSERT_FALSE(fault::validate("evaluator.eval@x:abort", &expected));
+  for (SupervisorOptions opts : {warm_opts(), fast_opts()}) {
+    opts.fault_spec = "evaluator.eval@x:abort";
+    try {
+      run_jobs({job("j", "/designs/regfile_example.shdl")}, opts);
+      ADD_FAILURE() << "warm=" << opts.warm << ": the plan was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), "fault_spec: " + expected) << "warm=" << opts.warm;
+    }
+  }
 }
 
 TEST_F(WarmSupervisorTest, WorkerIsReusedAcrossJobsOfOneDesign) {

@@ -52,7 +52,6 @@
 #include <cstring>
 #include <fstream>
 #include <new>
-#include <sstream>
 
 #include "core/compiled.hpp"
 #include "core/explain.hpp"
@@ -64,6 +63,7 @@
 #include "diag/render.hpp"
 #include "hdl/elaborate.hpp"
 #include "hdl/stdlib.hpp"
+#include "util/atomic_file.hpp"
 #include "util/crash.hpp"
 #include "util/fault.hpp"
 #include "util/stats.hpp"
@@ -195,10 +195,10 @@ int main(int argc, char** argv) {
   if (!path) return usage();
   tv::crash::set_context(path, "read");
 
-  std::stringstream buf;
+  std::string source;
   if (!compiled_input) {
-    std::ifstream in(path);
-    if (!in) {
+    std::optional<std::string> text = tv::util::read_file(path);
+    if (!text) {
       std::fprintf(stderr, "scaldtv: cannot open %s\n", path);
       return 2;
     }
@@ -208,7 +208,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "scaldtv: injected read failure on %s\n", path);
       return 5;
     }
-    buf << in.rdbuf();
+    source = std::move(*text);
   } else if (tv::fault::should_fail("io.read")) {
     std::fprintf(stderr, "scaldtv: injected read failure on %s\n", path);
     return 5;
@@ -249,7 +249,7 @@ int main(int argc, char** argv) {
     } else {
       tv::crash::set_context(path, "parse + macro expansion");
       timer.start("parse + macro expansion");
-      std::string text = buf.str();
+      const std::string& text = source;
       if (with_stdlib) {
         maybe_design = tv::hdl::elaborate_sources(
             {{"<stdlib>", tv::hdl::std_chip_library()}, {path, text}}, diags);
@@ -309,8 +309,8 @@ int main(int argc, char** argv) {
 
     if (reverify_path) {
       tv::crash::set_context(reverify_path, "read delta");
-      std::ifstream df(reverify_path);
-      if (!df) {
+      std::optional<std::string> dtext = tv::util::read_file(reverify_path);
+      if (!dtext) {
         std::fprintf(stderr, "scaldtv: cannot open %s\n", reverify_path);
         return 2;
       }
@@ -318,11 +318,9 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "scaldtv: injected read failure on %s\n", reverify_path);
         return 5;
       }
-      std::stringstream dbuf;
-      dbuf << df.rdbuf();
       tv::NetlistDelta delta;
       std::string derror;
-      if (!tv::parse_delta_json(dbuf.str(), design.netlist, &delta, &derror)) {
+      if (!tv::parse_delta_json(*dtext, design.netlist, &delta, &derror)) {
         std::fprintf(stderr, "scaldtv: %s: %s\n", reverify_path, derror.c_str());
         return 2;
       }

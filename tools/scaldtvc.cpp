@@ -19,13 +19,13 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include "core/compiled.hpp"
 #include "diag/render.hpp"
 #include "hdl/elaborate.hpp"
 #include "hdl/stdlib.hpp"
+#include "util/atomic_file.hpp"
 #include "util/fault.hpp"
 
 namespace {
@@ -89,13 +89,11 @@ int main(int argc, char** argv) {
   }
   if (!path) return usage();
 
-  std::ifstream in(path);
-  if (!in) {
+  std::optional<std::string> source = tv::util::read_file(path);
+  if (!source) {
     std::fprintf(stderr, "scaldtvc: cannot open %s\n", path);
     return 2;
   }
-  std::stringstream buf;
-  buf << in.rdbuf();
 
   tv::diag::DiagnosticEngine::Options diag_opts;
   diag_opts.max_errors = static_cast<std::size_t>(max_errors);
@@ -103,7 +101,7 @@ int main(int argc, char** argv) {
   tv::diag::DiagnosticEngine diags(diag_opts);
 
   try {
-    std::string text = buf.str();
+    const std::string& text = *source;
     std::optional<tv::hdl::ElaboratedDesign> maybe_design;
     if (with_stdlib) {
       maybe_design = tv::hdl::elaborate_sources(

@@ -91,9 +91,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -302,10 +300,8 @@ int main(int argc, char** argv) {
         // first append. Nothing durable was recorded, so it is a fresh
         // start, which keeps "--journal J --resume" idempotent even when
         // the first kill lands inside the header write.
-        std::ifstream jin(journal_path, std::ios::binary);
-        std::stringstream jbuf;
-        jbuf << jin.rdbuf();
-        journal_exists = jbuf.str().find('\n') != std::string::npos;
+        journal_exists = tv::util::read_file(journal_path).value_or("").find('\n') !=
+                         std::string::npos;
       }
       if (resume && journal_exists) {
         auto replayed = tv::serve::replay_journal(journal_path, &jerror);

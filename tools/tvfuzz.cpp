@@ -1,75 +1,60 @@
 // tvfuzz: differential self-checking fuzzer for the Timing Verifier.
 //
-// Runs two oracles over seeded random inputs:
-//   * conservatism: every violation the value-level logic simulator exposes
-//     under sampled realities must be covered by a symbolic violation
-//     (src/check/oracles.hpp);
-//   * wave-algebra: structural and refinement invariants of the sec. 2.8
-//     waveform algebra, including a concrete-replay check of
-//     delayed_rise_fall.
+// Modes (one per run; the differential presets compose):
 //
-// On failure the counterexample is shrunk and printed as a paste-into-gtest
-// repro; the exit code is nonzero.
+//   * default -- two oracles over seeded random inputs
+//     (src/check/oracles.hpp):
+//       - conservatism: every violation the value-level logic simulator
+//         exposes under sampled realities must be covered by a symbolic
+//         violation;
+//       - wave-algebra: structural and refinement invariants of the
+//         sec. 2.8 waveform algebra, including a concrete-replay check of
+//         delayed_rise_fall.
 //
-// A third mode, --memo-diff, runs each random circuit twice -- waveform
-// interning + evaluation memo-cache on, then off -- and fails on any
-// divergence in waveforms, reports, or event counts (the optimization must
-// be bit-exact).
+//   * differential presets -- --memo-diff, --batch-diff, --compile-diff,
+//     --incr-diff, --snapshot-diff: each random circuit runs through an
+//     execution path built from the given presets' transforms (interning,
+//     lane batching, the compiled-artifact round trip, a .tvf snapshot
+//     restore, K reverify steps) and must match the plain reference verify
+//     byte for byte after its baseline and every edit step
+//     (src/check/equiv.hpp; docs/engine_internals.md, "Equivalence
+//     harness"). Several presets given together compose into one path.
 //
-// A fourth mode, --parser-fuzz, mutates valid SHDL sources (byte- and
-// token-level, seeded) and feeds them to the diagnostic front end: it must
-// never crash, never let an exception escape, and always report at least
-// one error diagnostic when it rejects an input. Each seed also mutates a
-// job line, a netlist delta and a journal file through the JSON readers
-// under the same contract.
+//   * --parser-fuzz -- mutates valid SHDL sources (byte- and token-level,
+//     seeded) and feeds them to the diagnostic front end: it must never
+//     crash, never let an exception escape, and always report at least one
+//     error diagnostic when it rejects an input. Each seed also mutates a
+//     job line, a netlist delta and a journal file through the JSON readers
+//     under the same contract.
 //
-// A sixth mode, --batch-diff, runs each random circuit's case analysis
-// through both the per-case snapshot path and the structure-of-arrays
-// batch path (VerifierOptions::batch_eval) and fails on any divergence in
-// reports, waveforms, or counts (the lockstep sweep must be bit-exact).
+//   * --serve-chaos -- pushes seeded batches of generated designs with
+//     random fault specs through a real scaldtvd worker pool and asserts
+//     every job ends in a terminal state, retries are visible in attempt
+//     counts, and the manifest is byte-stable across identical runs. The
+//     mode also runs the overload scenarios (memory-budget breach, bounded
+//     admission, poison-design quarantine + kill/resume, and the ENOSPC
+//     sweep over every durable write) once per backend. Binaries come from
+//     --scaldtvd/--scaldtv or TV_SCALDTVD/TV_SCALDTV.
 //
-// A seventh mode, --compile-diff, round-trips each random circuit through
-// the scaldtvc compiled-design artifact (serialize -> reload -> verify) and
-// fails on any divergence from the in-memory original, or on a
-// non-deterministic serialization (the artifact must be byte-stable).
-//
-// An eighth mode, --incr-diff, replays a K-step random edit script against
-// each random circuit both incrementally (Verifier::reverify, one long-lived
-// verifier) and cold (fresh build + delta prefix + from-scratch verify) on
-// both the source and the compiled front ends, and fails on any divergence
-// outside the sanctioned evaluation-effort counters (the reverify report
-// must be byte-identical to a cold run of the edited design).
-//
-// A ninth mode, --snapshot-diff, snapshots each random circuit's baseline
-// fixpoint (core/fixpoint.hpp), restores it into a fresh verifier over a
-// freshly built world, and replays a K-step random edit script on both: the
-// restored world must match byte-for-byte after every step -- effort
-// counters included -- and re-serialize to identical snapshot bytes, on
-// both the source and compiled front ends.
-//
-// A fifth mode, --serve-chaos, pushes seeded batches of generated designs
-// with random fault specs through a real scaldtvd worker pool and asserts
-// every job ends in a terminal state, retries are visible in attempt
-// counts, and the manifest is byte-stable across identical runs. The mode
-// also runs the overload scenarios (memory-budget breach, bounded
-// admission, poison-design quarantine + kill/resume, and the ENOSPC sweep
-// over every durable write) once per backend. Binaries come from
-// --scaldtvd/--scaldtv or TV_SCALDTVD/TV_SCALDTV.
+// On an oracle failure the counterexample is shrunk and printed as a
+// paste-into-gtest repro; the exit code is nonzero.
 //
 // Usage:
 //   tvfuzz [--seeds N] [--wave N] [--start S] [--smoke] [--memo-diff]
 //          [--batch-diff] [--compile-diff] [--incr-diff] [--incr-steps K]
 //          [--snapshot-diff] [--parser-fuzz] [--serve-chaos]
 //          [--scaldtvd PATH] [--scaldtv PATH] [--no-shrink] [-v]
+#include <cctype>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
+#include <utility>
+#include <vector>
 
-#include "check/incr_diff.hpp"
+#include "check/equiv.hpp"
 #include "check/oracles.hpp"
-#include "check/snapshot_diff.hpp"
 #include "check/parser_fuzz.hpp"
 #include "check/serve_chaos.hpp"
 #include "check/shrinker.hpp"
@@ -80,12 +65,7 @@ struct Options {
   std::uint64_t start = 1;
   int circuit_seeds = 500;
   int wave_seeds = 500;
-  bool memo_diff = false;
-  bool batch_diff = false;
-  bool compile_diff = false;
-  bool incr_diff = false;
-  int incr_steps = 4;
-  bool snapshot_diff = false;
+  tv::check::EquivOptions equiv;  // the differential presets
   bool parser_fuzz = false;
   bool serve_chaos = false;
   bool seeds_set = false;
@@ -97,25 +77,26 @@ struct Options {
 
 void usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--seeds N] [--wave N] [--start S] [--smoke] [--memo-diff] "
-               "[--batch-diff] [--compile-diff] [--parser-fuzz] [--no-shrink] [-v]\n"
+               "usage: %s [--seeds N] [--wave N] [--start S] [--smoke] [--memo-diff]\n"
+               "       [--batch-diff] [--compile-diff] [--incr-diff] [--incr-steps K]\n"
+               "       [--snapshot-diff] [--parser-fuzz] [--serve-chaos]\n"
+               "       [--scaldtvd PATH] [--scaldtv PATH] [--no-shrink] [-v]\n"
                "  --seeds N     differential circuit cases to run (default 500)\n"
                "  --wave N      waveform-algebra cases to run (default 500)\n"
                "  --start S     first seed (default 1)\n"
                "  --smoke       quick CI gate: 120 circuit + 250 wave cases\n"
-               "  --memo-diff   run each circuit spec twice (interning/memo on vs\n"
-               "                off) and fail on any report or waveform divergence\n"
-               "  --batch-diff  run each circuit's case analysis through the per-case\n"
-               "                and batch engines and fail on any divergence\n"
-               "  --compile-diff round-trip each circuit through the compiled-design\n"
-               "                artifact and fail on any divergence or instability\n"
-               "  --incr-diff   replay a K-step random edit script incrementally\n"
-               "                (Verifier::reverify) and cold per step, on both the\n"
-               "                source and compiled front ends; fail on divergence\n"
-               "  --incr-steps K edits per script in --incr-diff (default 4)\n"
-               "  --snapshot-diff snapshot each circuit's baseline fixpoint, restore\n"
-               "                it into a fresh verifier, and replay an edit script on\n"
-               "                both; fail on any byte divergence (counters included)\n"
+               "  differential presets -- each circuit's path must match the plain\n"
+               "  reference verify byte for byte; several presets compose into one path:\n"
+               "  --memo-diff   waveform interning + evaluation memo-cache\n"
+               "  --batch-diff  lane-batched case sweep\n"
+               "  --compile-diff round trip through the compiled-design artifact, whose\n"
+               "                bytes must be deterministic\n"
+               "  --incr-diff   K reverify steps of a random edit script, on both the\n"
+               "                source and compiled front ends\n"
+               "  --incr-steps K reverify steps per script (default 4; 3 with only\n"
+               "                --snapshot-diff)\n"
+               "  --snapshot-diff restore the baseline from a .tvf snapshot, then replay\n"
+               "                the edit script beside the writer (counters included)\n"
                "  --parser-fuzz mutate valid SHDL sources, job lines, deltas and journals;\n"
                "                assert the readers never crash and always explain a\n"
                "                rejection\n"
@@ -128,44 +109,81 @@ void usage(const char* argv0) {
                argv0);
 }
 
+/// Strict count: the whole token is decimal digits (no sign) and at most
+/// `max`.
+bool parse_count(const char* text, std::uint64_t max, std::uint64_t& out) {
+  if (!std::isdigit(static_cast<unsigned char>(*text))) return false;
+  errno = 0;
+  char* end = nullptr;
+  unsigned long long v = std::strtoull(text, &end, 10);
+  if (errno != 0 || *end != '\0' || v > max) return false;
+  out = v;
+  return true;
+}
+
+tv::check::CircuitSpec shrink(const tv::check::CircuitSpec& s,
+                              const tv::check::CircuitPred& pred) {
+  return tv::check::shrink_circuit(s, pred);
+}
+tv::check::WaveCase shrink(const tv::check::WaveCase& w, const tv::check::WavePred& pred) {
+  return tv::check::shrink_wave(w, pred);
+}
+
+/// The one shrink/repro printer: minimizes `spec` while `check` keeps
+/// failing with the same kind (unless --no-shrink) and prints the repro
+/// `render` makes of the result.
+template <class Spec, class Check, class Render>
+void print_repro(const Options& opt, const Spec& spec, const std::string& kind,
+                 Check check, Render render) {
+  if (!opt.shrink) {
+    std::printf("repro:\n%s\n", render(spec).c_str());
+    return;
+  }
+  Spec small = shrink(spec, [&](const Spec& s) {
+    auto f = check(s);
+    return f && f->kind == kind;
+  });
+  std::printf("shrunk repro:\n%s\n", render(small).c_str());
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   Options opt;
+  tv::check::EquivOptions& eq = opt.equiv;
   for (int i = 1; i < argc; ++i) {
     std::string a = argv[i];
-    auto next_int = [&](int& out) {
-      if (i + 1 >= argc) {
+    auto next_count = [&](std::uint64_t max) {
+      std::uint64_t v = 0;
+      if (i + 1 >= argc || !parse_count(argv[++i], max, v)) {
         usage(argv[0]);
         std::exit(2);
       }
-      out = std::atoi(argv[++i]);
+      return v;
     };
     if (a == "--seeds") {
-      next_int(opt.circuit_seeds);
+      opt.circuit_seeds = static_cast<int>(next_count(INT32_MAX));
       opt.seeds_set = true;
     } else if (a == "--wave") {
-      next_int(opt.wave_seeds);
+      opt.wave_seeds = static_cast<int>(next_count(INT32_MAX));
     } else if (a == "--start") {
-      int s = 0;
-      next_int(s);
-      opt.start = static_cast<std::uint64_t>(s);
+      opt.start = next_count(UINT64_MAX);
     } else if (a == "--smoke") {
       opt.circuit_seeds = 120;
       opt.wave_seeds = 250;
     } else if (a == "--memo-diff") {
-      opt.memo_diff = true;
+      eq.memo = true;
     } else if (a == "--batch-diff") {
-      opt.batch_diff = true;
+      eq.batch = true;
     } else if (a == "--compile-diff") {
-      opt.compile_diff = true;
+      eq.compile = true;
     } else if (a == "--incr-diff") {
-      opt.incr_diff = true;
+      eq.incr = true;
     } else if (a == "--snapshot-diff") {
-      opt.snapshot_diff = true;
+      eq.snapshot = true;
     } else if (a == "--incr-steps") {
-      next_int(opt.incr_steps);
-      if (opt.incr_steps < 1) {
+      eq.steps = static_cast<int>(next_count(INT32_MAX));
+      if (eq.steps < 1) {
         usage(argv[0]);
         return 2;
       }
@@ -341,208 +359,54 @@ int main(int argc, char** argv) {
     return failures ? 1 : 0;
   }
 
-  if (opt.snapshot_diff) {
-    // Differential snapshot mode: every random circuit's baseline fixpoint
-    // is serialized, restored into a fresh verifier, and edited K times on
-    // both sides; the restored world must stay byte-identical -- effort
-    // counters included -- once per front end.
+  if (eq.memo || eq.batch || eq.compile || eq.incr || eq.snapshot) {
+    // Differential mode: the presets compose into one path, run per front
+    // end against the reference. A failing circuit shrinks with its edit
+    // script pinned (a pure function of the circuit seed) so the script
+    // stays fixed while the circuit shrinks around it.
+    const std::pair<bool, const char*> presets[] = {{eq.memo, "--memo-diff"},
+                                                    {eq.batch, "--batch-diff"},
+                                                    {eq.compile, "--compile-diff"},
+                                                    {eq.incr, "--incr-diff"},
+                                                    {eq.snapshot, "--snapshot-diff"}};
+    std::string modes;
+    for (const auto& [on, flag] : presets) {
+      if (on) modes += (modes.empty() ? "" : " ") + std::string(flag);
+    }
+    std::vector<bool> fronts = tv::check::front_ends(eq);
     for (int i = 0; i < opt.circuit_seeds; ++i) {
       std::uint64_t seed = opt.start + static_cast<std::uint64_t>(i);
       tv::check::CircuitSpec spec = tv::check::random_spec(seed);
-      for (bool compiled : {false, true}) {
-        tv::check::SnapshotDiffOptions so;
-        so.compiled = compiled;
-        auto fail = tv::check::check_snapshot_equivalence(spec, so);
+      for (bool compiled : fronts) {
+        tv::check::EquivOptions run = eq;
+        run.compile |= compiled;
+        auto fail = tv::check::check_equivalence(spec, run);
+        const char* front = compiled ? "compiled" : "source";
         if (opt.verbose) {
-          std::printf("snapshot-diff seed %llu (%s): %s\n",
-                      static_cast<unsigned long long>(seed),
-                      compiled ? "compiled" : "source", fail ? "FAIL" : "ok");
+          std::printf("%s seed %llu (%s): %s\n", modes.c_str(),
+                      static_cast<unsigned long long>(seed), front, fail ? "FAIL" : "ok");
         }
         if (!fail) continue;
         ++failures;
-        std::printf("FAIL snapshot-diff seed %llu (%s) [%s]\n  %s\n",
-                    static_cast<unsigned long long>(seed),
-                    compiled ? "compiled" : "source", fail->kind.c_str(),
+        std::printf("FAIL %s seed %llu (%s) [%s]\n  %s\n", modes.c_str(),
+                    static_cast<unsigned long long>(seed), front, fail->kind.c_str(),
                     fail->detail.c_str());
-        if (opt.shrink) {
-          // Pin the edit script (a pure function of the circuit seed) so it
-          // stays fixed while the circuit shrinks around it.
-          tv::check::SnapshotDiffOptions pinned = so;
-          pinned.edit_seed =
-              spec.seed * 0x9E3779B97F4A7C15ULL + 0x6C62272E07BB0142ULL;
-          std::string kind = fail->kind;
-          tv::check::CircuitSpec small = tv::check::shrink_circuit(
-              spec, [&](const tv::check::CircuitSpec& s) {
-                auto f = tv::check::check_snapshot_equivalence(s, pinned);
-                return f && f->kind == kind;
-              });
-          std::printf("shrunk repro (edit_seed %llu, %s front end):\n%s\n",
-                      static_cast<unsigned long long>(pinned.edit_seed),
-                      compiled ? "compiled" : "source",
-                      tv::check::gtest_repro(small, kind).c_str());
-        } else {
-          std::printf("repro:\n%s\n",
-                      tv::check::gtest_repro(spec, fail->kind).c_str());
-        }
-      }
-    }
-    std::printf("tvfuzz --snapshot-diff: %d circuit cases x 2 front ends, "
-                "%d failure%s\n",
-                opt.circuit_seeds, failures, failures == 1 ? "" : "s");
-    return failures ? 1 : 0;
-  }
-
-  if (opt.incr_diff) {
-    // Differential incremental mode: every random circuit is edited K times
-    // and re-verified both incrementally and cold after each step, once per
-    // front end (source build and compiled-artifact round trip). The
-    // incremental report must be byte-identical each time, counters aside.
-    for (int i = 0; i < opt.circuit_seeds; ++i) {
-      std::uint64_t seed = opt.start + static_cast<std::uint64_t>(i);
-      tv::check::CircuitSpec spec = tv::check::random_spec(seed);
-      for (bool compiled : {false, true}) {
-        tv::check::IncrDiffOptions io;
-        io.steps = opt.incr_steps;
-        io.compiled = compiled;
-        auto fail = tv::check::check_incr_equivalence(spec, io);
-        if (opt.verbose) {
-          std::printf("incr-diff seed %llu (%s): %s\n",
-                      static_cast<unsigned long long>(seed),
-                      compiled ? "compiled" : "source", fail ? "FAIL" : "ok");
-        }
-        if (!fail) continue;
-        ++failures;
-        std::printf("FAIL incr-diff seed %llu (%s) [%s]\n  %s\n",
-                    static_cast<unsigned long long>(seed),
-                    compiled ? "compiled" : "source", fail->kind.c_str(),
-                    fail->detail.c_str());
-        if (opt.shrink) {
-          // The edit script is a pure function of the circuit seed; pin it
-          // so the script stays fixed while the circuit shrinks around it.
-          tv::check::IncrDiffOptions pinned = io;
-          pinned.edit_seed =
-              spec.seed * 0x9E3779B97F4A7C15ULL + 0x6C62272E07BB0142ULL;
-          std::string kind = fail->kind;
-          tv::check::CircuitSpec small = tv::check::shrink_circuit(
-              spec, [&](const tv::check::CircuitSpec& s) {
-                auto f = tv::check::check_incr_equivalence(s, pinned);
-                return f && f->kind == kind;
-              });
-          std::printf("shrunk repro (edit_seed %llu, %s front end):\n%s\n",
-                      static_cast<unsigned long long>(pinned.edit_seed),
-                      compiled ? "compiled" : "source",
-                      tv::check::gtest_repro(small, kind).c_str());
-        } else {
-          std::printf("repro:\n%s\n",
-                      tv::check::gtest_repro(spec, fail->kind).c_str());
-        }
-      }
-    }
-    std::printf("tvfuzz --incr-diff: %d circuit cases x 2 front ends x %d steps, "
-                "%d failure%s\n",
-                opt.circuit_seeds, opt.incr_steps, failures,
-                failures == 1 ? "" : "s");
-    return failures ? 1 : 0;
-  }
-
-  if (opt.compile_diff) {
-    // Differential artifact mode: every random circuit is serialized to the
-    // compiled-design format, reloaded, and verified; the round trip must
-    // be bit-identical to the in-memory original.
-    for (int i = 0; i < opt.circuit_seeds; ++i) {
-      std::uint64_t seed = opt.start + static_cast<std::uint64_t>(i);
-      tv::check::CircuitSpec spec = tv::check::random_spec(seed);
-      auto fail = tv::check::check_compile_equivalence(spec);
-      if (opt.verbose) {
-        std::printf("compile-diff seed %llu: %s\n", static_cast<unsigned long long>(seed),
-                    fail ? "FAIL" : "ok");
-      }
-      if (!fail) continue;
-      ++failures;
-      std::printf("FAIL compile-diff seed %llu [%s]\n  %s\n",
-                  static_cast<unsigned long long>(seed), fail->kind.c_str(),
-                  fail->detail.c_str());
-      if (opt.shrink) {
-        std::string kind = fail->kind;
-        tv::check::CircuitSpec small = tv::check::shrink_circuit(
-            spec, [&](const tv::check::CircuitSpec& s) {
-              auto f = tv::check::check_compile_equivalence(s);
-              return f && f->kind == kind;
+        run.edit_seed = tv::check::edit_seed_for(seed);
+        print_repro(
+            opt, spec, fail->kind,
+            [&](const tv::check::CircuitSpec& s) {
+              return tv::check::check_equivalence(s, run);
+            },
+            [&](const tv::check::CircuitSpec& s) {
+              return tv::check::gtest_repro(
+                  s, fail->kind,
+                  "tv::check::check_equivalence(s, " + tv::check::to_cpp(run) + ")");
             });
-        std::printf("shrunk repro:\n%s\n", tv::check::gtest_repro(small, kind).c_str());
-      } else {
-        std::printf("repro:\n%s\n", tv::check::gtest_repro(spec, fail->kind).c_str());
       }
     }
-    std::printf("tvfuzz --compile-diff: %d circuit cases, %d failure%s\n",
-                opt.circuit_seeds, failures, failures == 1 ? "" : "s");
-    return failures ? 1 : 0;
-  }
-
-  if (opt.batch_diff) {
-    // Differential batch mode: every random circuit's case analysis runs on
-    // the lockstep batch engine and the per-case reference path; the two
-    // runs must be bit-identical.
-    for (int i = 0; i < opt.circuit_seeds; ++i) {
-      std::uint64_t seed = opt.start + static_cast<std::uint64_t>(i);
-      tv::check::CircuitSpec spec = tv::check::random_spec(seed);
-      auto fail = tv::check::check_batch_equivalence(spec);
-      if (opt.verbose) {
-        std::printf("batch-diff seed %llu: %s\n", static_cast<unsigned long long>(seed),
-                    fail ? "FAIL" : "ok");
-      }
-      if (!fail) continue;
-      ++failures;
-      std::printf("FAIL batch-diff seed %llu [%s]\n  %s\n",
-                  static_cast<unsigned long long>(seed), fail->kind.c_str(),
-                  fail->detail.c_str());
-      if (opt.shrink) {
-        std::string kind = fail->kind;
-        tv::check::CircuitSpec small = tv::check::shrink_circuit(
-            spec, [&](const tv::check::CircuitSpec& s) {
-              auto f = tv::check::check_batch_equivalence(s);
-              return f && f->kind == kind;
-            });
-        std::printf("shrunk repro:\n%s\n", tv::check::gtest_repro(small, kind).c_str());
-      } else {
-        std::printf("repro:\n%s\n", tv::check::gtest_repro(spec, fail->kind).c_str());
-      }
-    }
-    std::printf("tvfuzz --batch-diff: %d circuit cases, %d failure%s\n", opt.circuit_seeds,
-                failures, failures == 1 ? "" : "s");
-    return failures ? 1 : 0;
-  }
-
-  if (opt.memo_diff) {
-    // Differential interning mode: every random circuit is verified with the
-    // memo/interning layer on and off; the two runs must be bit-identical.
-    for (int i = 0; i < opt.circuit_seeds; ++i) {
-      std::uint64_t seed = opt.start + static_cast<std::uint64_t>(i);
-      tv::check::CircuitSpec spec = tv::check::random_spec(seed);
-      auto fail = tv::check::check_memo_equivalence(spec);
-      if (opt.verbose) {
-        std::printf("memo-diff seed %llu: %s\n", static_cast<unsigned long long>(seed),
-                    fail ? "FAIL" : "ok");
-      }
-      if (!fail) continue;
-      ++failures;
-      std::printf("FAIL memo-diff seed %llu [%s]\n  %s\n",
-                  static_cast<unsigned long long>(seed), fail->kind.c_str(),
-                  fail->detail.c_str());
-      if (opt.shrink) {
-        std::string kind = fail->kind;
-        tv::check::CircuitSpec small = tv::check::shrink_circuit(
-            spec, [&](const tv::check::CircuitSpec& s) {
-              auto f = tv::check::check_memo_equivalence(s);
-              return f && f->kind == kind;
-            });
-        std::printf("shrunk repro:\n%s\n", tv::check::gtest_repro(small, kind).c_str());
-      } else {
-        std::printf("repro:\n%s\n", tv::check::gtest_repro(spec, fail->kind).c_str());
-      }
-    }
-    std::printf("tvfuzz --memo-diff: %d circuit cases, %d failure%s\n", opt.circuit_seeds,
-                failures, failures == 1 ? "" : "s");
+    std::printf("tvfuzz %s: %d circuit cases x %zu front end%s, %d failure%s\n",
+                modes.c_str(), opt.circuit_seeds, fronts.size(),
+                fronts.size() == 1 ? "" : "s", failures, failures == 1 ? "" : "s");
     return failures ? 1 : 0;
   }
 
@@ -564,17 +428,10 @@ int main(int argc, char** argv) {
     std::printf("FAIL circuit seed %llu [%s]\n  %s\n",
                 static_cast<unsigned long long>(seed), fail->kind.c_str(),
                 fail->detail.c_str());
-    if (opt.shrink) {
-      std::string kind = fail->kind;
-      tv::check::CircuitSpec small = tv::check::shrink_circuit(
-          spec, [&](const tv::check::CircuitSpec& s) {
-            auto f = tv::check::check_conservatism(s);
-            return f && f->kind == kind;
-          });
-      std::printf("shrunk repro:\n%s\n", tv::check::gtest_repro(small, kind).c_str());
-    } else {
-      std::printf("repro:\n%s\n", tv::check::gtest_repro(spec, fail->kind).c_str());
-    }
+    print_repro(
+        opt, spec, fail->kind,
+        [](const tv::check::CircuitSpec& s) { return tv::check::check_conservatism(s); },
+        [&](const tv::check::CircuitSpec& s) { return tv::check::gtest_repro(s, fail->kind); });
   }
 
   for (int i = 0; i < opt.wave_seeds; ++i) {
@@ -589,17 +446,9 @@ int main(int argc, char** argv) {
     ++failures;
     std::printf("FAIL wave seed %llu [%s]\n  %s\n", static_cast<unsigned long long>(seed),
                 fail->kind.c_str(), fail->detail.c_str());
-    if (opt.shrink) {
-      std::string kind = fail->kind;
-      tv::check::WaveCase small =
-          tv::check::shrink_wave(wc, [&](const tv::check::WaveCase& w) {
-            auto f = tv::check::check_wave_algebra(w);
-            return f && f->kind == kind;
-          });
-      std::printf("shrunk repro:\n%s\n", tv::check::gtest_repro(small, kind).c_str());
-    } else {
-      std::printf("repro:\n%s\n", tv::check::gtest_repro(wc, fail->kind).c_str());
-    }
+    print_repro(
+        opt, wc, fail->kind, tv::check::check_wave_algebra,
+        [&](const tv::check::WaveCase& w) { return tv::check::gtest_repro(w, fail->kind); });
   }
 
   std::printf(
